@@ -28,17 +28,14 @@
 // a deterministic ~50% of the handles cancelled mid-flight — survivors must
 // stay byte-identical to serial (cancellation never perturbs its neighbors).
 //
-// And a contended tail-latency A/B (ISSUE 9): every worker starts on a hot
-// config whose first synthesis is fault-stalled for a long beat, with
-// independent background traffic queued behind, run once under the
-// parked-waiter scheduler (defer_inflight=false) and once under the
-// deferral-aware one. Parked workers sleep through the stall and the
-// background requests inherit it as queueing delay; deferring workers run
-// that traffic during the stall. The deferred run must park no pool thread
-// (waiter_parks == 0), actually defer (deferred_lookups > 0), stay
-// byte-identical to serial, and land a strictly lower exact client-side p99
-// than the parked baseline. Exact per-request latencies (sorted, rank-based)
-// feed the gate — histogram buckets are too coarse for a strict comparison.
+// And a contended ordering gate: every worker starts on a hot config whose
+// first synthesis is fault-stalled, with independent background traffic
+// queued behind. The stalled owner holds its flight until every OTHER
+// signature of the grid has been synthesized (or a bound expires): threads
+// waiting on the hot signature must defer and run the background traffic
+// during the stall, so the hold must end by that count, not by the bound.
+// The run must also actually defer (deferred_lookups > 0) and stay
+// byte-identical to serial.
 //
 // And a sharded scale-out gate (ISSUE 10): the grid split by index across 2
 // worker services behind an in-process cache plane (a PlannerServer in
@@ -64,7 +61,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <cstdlib>
@@ -252,54 +248,67 @@ VariantResult RunGridMultiTenant(const std::vector<p2::topology::Cluster>& clust
   return v;
 }
 
-// The contended tail-latency A/B (ISSUE 9). The scenario isolates the one
-// structural difference between the two schedulers: what a pool thread does
-// while a signature it needs is being synthesized by someone else.
+// The contended ordering gate. The scenario:
 //
 //   - `copies` copies of the grid's FIRST config go in first — at least as
 //     many as there are threads, so every worker starts on the hot config.
 //   - A fault hook stalls exactly ONE synthesis layer (the first to run,
-//     necessarily a hot-config signature) for a long beat. The owner sleeps
-//     in it; every other hot copy promptly finds that signature in flight.
+//     necessarily a hot-config signature). Every other hot copy promptly
+//     finds that signature in flight.
 //   - Two copies each of the remaining configs queue behind as independent
 //     background traffic.
 //
-// Parked baseline: the non-owner workers block inside GetOrSynthesize for
-// the whole stall, the background requests wait for the wake-up, and their
-// queueing delay lands on the tail. Deferral: the same workers register
-// continuations and run the background requests DURING the stall, so the
-// tail is the stall itself, not the stall plus everything behind it. That
-// ordering — not a throughput delta — is what the strict p99 gate checks.
-//
-// One collector thread per handle records the exact submit→complete latency
-// the moment its request resolves; the p50/p99 are rank-based over the
-// sorted exact samples (the strict deferred-vs-parked gate needs finer
-// resolution than the service histogram's log2 buckets).
+// The stalled owner polls the service's cache misses and holds its flight
+// until they reach `target_misses` — every distinct signature of the grid
+// but its own — or until kContendedBound passes. None of those signatures
+// depends on the stalled one, so under deferral the threads the hot copies
+// would otherwise pin run the background traffic meanwhile and the count
+// is reached during the stall. A thread that slept on the stalled flight
+// instead would leave the background requests queued behind it, and the
+// hold would end by the bound. The service's submit→complete p50/p99 are
+// recorded for the trajectory, not gated.
+constexpr std::chrono::seconds kContendedBound{5};
+
 struct ContendedResult {
-  double p50_seconds = 0.0;
+  double p50_seconds = 0.0;  ///< service histogram bucket upper bounds
   double p99_seconds = 0.0;
+  double stall_seconds = 0.0;  ///< how long the owner held its flight
+  std::int64_t misses_at_release = 0;
+  bool released_by_count = false;  ///< the hold ended by count, not bound
   std::int64_t deferred_lookups = 0;
-  std::int64_t dedup_waits = 0;
-  std::int64_t waiter_parks = 0;
   bool identical = true;  ///< every output byte-identical to serial
 };
 
-ContendedResult RunContended(const Engine& engine, int threads, bool defer,
+ContendedResult RunContended(const Engine& engine, int threads,
                              const std::vector<GridConfig>& grid, int copies,
+                             std::int64_t target_misses,
                              const std::vector<ExperimentResult>& serial) {
   ContendedResult r;
   PlannerServiceOptions options;
   options.threads = threads;
-  options.defer_inflight = defer;
   PlannerService service(engine, options);
   // Armed-once: only the FIRST frontier layer to synthesize stalls — the
-  // hot-signature owner. (exchange first, so the sleeping call has already
-  // disarmed the hook for everyone else.)
+  // hot-signature owner. (exchange first, so the holding call has already
+  // disarmed the hook for everyone else.) `r`'s stall fields are written
+  // by the owner's thread only, and read after every request resolved.
   auto armed = std::make_shared<std::atomic<bool>>(true);
-  p2::FaultScope stall([armed](std::string_view point) {
-    if (point == "synth.layer" && armed->exchange(false)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  p2::FaultScope stall([&, armed](std::string_view point) {
+    if (point != "synth.layer" || !armed->exchange(false)) return;
+    const auto held_from = std::chrono::steady_clock::now();
+    for (;;) {
+      r.misses_at_release = service.stats().cache.misses;
+      if (r.misses_at_release >= target_misses) {
+        r.released_by_count = true;
+        break;
+      }
+      if (std::chrono::steady_clock::now() - held_from >= kContendedBound) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+    r.stall_seconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - held_from)
+                          .count();
   });
   // `copies` hot requests (grid[0]) first, then two copies of each other
   // config as background traffic.
@@ -312,48 +321,22 @@ ContendedResult RunContended(const Engine& engine, int threads, bool defer,
   const std::size_t n = config_of.size();
   std::vector<PlanHandle> handles;
   handles.reserve(n);
-  std::vector<std::chrono::steady_clock::time_point> submitted(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& cfg = grid[config_of[i]];
+  for (const std::size_t config : config_of) {
     PlanRequest request;
-    request.axes = cfg.axes;
-    request.reduction_axes = cfg.reduction_axes;
-    submitted[handles.size()] = std::chrono::steady_clock::now();
+    request.axes = grid[config].axes;
+    request.reduction_axes = grid[config].reduction_axes;
     handles.push_back(service.Submit(std::move(request)));
   }
-  std::vector<double> latencies(n);
-  std::vector<ExperimentResult> results(n);
-  std::vector<std::thread> collectors;
-  collectors.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    collectors.emplace_back([&, i] {
-      results[i] = handles[i].get();
-      latencies[i] = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - submitted[i])
-                         .count();
-    });
-  }
-  for (auto& t : collectors) t.join();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (CanonicalResultText(results[i]) !=
+    if (CanonicalResultText(handles[i].get()) !=
         CanonicalResultText(serial[config_of[i]])) {
       r.identical = false;
     }
   }
-  std::sort(latencies.begin(), latencies.end());
-  const auto rank = [&](double p) {
-    std::size_t k =
-        static_cast<std::size_t>(std::ceil(p * static_cast<double>(n)));
-    if (k < 1) k = 1;
-    if (k > n) k = n;
-    return latencies[k - 1];
-  };
-  r.p50_seconds = rank(0.50);
-  r.p99_seconds = rank(0.99);
   const auto stats = service.stats();
+  r.p50_seconds = stats.latency_p50_seconds;
+  r.p99_seconds = stats.latency_p99_seconds;
   r.deferred_lookups = stats.cache.deferred_lookups;
-  r.dedup_waits = stats.cache.dedup_waits;
-  r.waiter_parks = stats.cache.waiter_parks;
   return r;
 }
 
@@ -610,40 +593,35 @@ int main(int argc, char** argv) {
       static_cast<long long>(storm_cancelled), grid.size(),
       storm_ok ? "ok" : "NO — BUG");
 
-  // ISSUE 9 acceptance: under contention (every worker racing on one hot
-  // config whose owner is stalled, independent traffic queued behind), the
-  // deferral-aware scheduler must never park a pool thread, must actually
-  // defer, must stay byte-identical to serial, and must beat the
-  // parked-waiter baseline's exact client-side p99 at the same thread count.
+  // Contended ordering gate: while the hot owner is stalled, every other
+  // signature of the grid must get synthesized — the hold ends by count,
+  // not by the bound. The one-thread cached run synthesized each distinct
+  // signature of the grid exactly once, so its misses are that count.
   constexpr int kContendedThreads = 3;
   constexpr int kContendedCopies = 4;  // hot copies, >= threads
   const int kContendedBackground = 2 * (static_cast<int>(grid.size()) - 1);
-  const auto parked = RunContended(engine, kContendedThreads, /*defer=*/false,
-                                   grid, kContendedCopies, serial_results);
-  const auto deferred = RunContended(engine, kContendedThreads, /*defer=*/true,
-                                     grid, kContendedCopies, serial_results);
+  const std::int64_t contended_target = cached.misses - 1;
+  const auto contended =
+      RunContended(engine, kContendedThreads, grid, kContendedCopies,
+                   contended_target, serial_results);
   std::printf(
-      "contended(%d hot + %d background, %d threads): deferred p99 %.3f ms / "
-      "p50 %.3f ms (%lld deferred lookups) vs parked p99 %.3f ms / p50 "
-      "%.3f ms (%lld in-flight waits, %lld parks)\n",
+      "contended(%d hot + %d background, %d threads): owner held %.3f ms, "
+      "p99 %.3f ms / p50 %.3f ms (%lld deferred lookups)\n",
       kContendedCopies, kContendedBackground, kContendedThreads,
-      deferred.p99_seconds * 1e3, deferred.p50_seconds * 1e3,
-      static_cast<long long>(deferred.deferred_lookups),
-      parked.p99_seconds * 1e3, parked.p50_seconds * 1e3,
-      static_cast<long long>(parked.dedup_waits),
-      static_cast<long long>(parked.waiter_parks));
-  const bool contended_ok =
-      deferred.waiter_parks == 0 && deferred.deferred_lookups > 0 &&
-      deferred.identical && parked.identical &&
-      deferred.p99_seconds < parked.p99_seconds;
+      contended.stall_seconds * 1e3, contended.p99_seconds * 1e3,
+      contended.p50_seconds * 1e3,
+      static_cast<long long>(contended.deferred_lookups));
+  const bool contended_ok = contended.released_by_count &&
+                            contended.deferred_lookups > 0 &&
+                            contended.identical;
   std::printf(
-      "contended gate: waiter_parks=%lld deferred_lookups=%lld identical=%s "
-      "p99 %.3fms < parked %.3fms: %s\n",
-      static_cast<long long>(deferred.waiter_parks),
-      static_cast<long long>(deferred.deferred_lookups),
-      deferred.identical && parked.identical ? "yes" : "NO",
-      deferred.p99_seconds * 1e3, parked.p99_seconds * 1e3,
-      contended_ok ? "ok" : "NO — BUG");
+      "contended gate: released by count=%s (misses %lld/%lld at release) "
+      "deferred_lookups=%lld identical=%s: %s\n",
+      contended.released_by_count ? "yes" : "NO",
+      static_cast<long long>(contended.misses_at_release),
+      static_cast<long long>(contended_target),
+      static_cast<long long>(contended.deferred_lookups),
+      contended.identical ? "yes" : "NO", contended_ok ? "ok" : "NO — BUG");
 
   // ISSUE 10 acceptance: the grid sharded across worker services behind a
   // remote cache plane (an in-process PlannerServer in cache-server mode,
@@ -751,7 +729,7 @@ int main(int argc, char** argv) {
       sharded_identical ? "yes" : "NO", sharded_ok ? "ok" : "NO — BUG");
 
   // Machine-readable dump (satellite of ISSUE 9): every variant's headline
-  // numbers plus the contended A/B, for CI artifacts and trend tracking.
+  // numbers plus the contended gate, for CI artifacts and trend tracking.
   {
     FILE* f = std::fopen(json_path.c_str(), "w");
     if (f == nullptr) {
@@ -781,17 +759,19 @@ int main(int argc, char** argv) {
           f,
           "\n  ],\n  \"contended\": {\n"
           "    \"threads\": %d, \"hot_copies\": %d, \"background\": %d,\n"
-          "    \"parked_p50_ms\": %.6f, \"parked_p99_ms\": %.6f,\n"
-          "    \"deferred_p50_ms\": %.6f, \"deferred_p99_ms\": %.6f,\n"
-          "    \"deferred_lookups\": %lld, \"waiter_parks\": %lld,\n"
+          "    \"target_misses\": %lld, \"misses_at_release\": %lld,\n"
+          "    \"released_by_count\": %s, \"stall_ms\": %.6f,\n"
+          "    \"p50_ms\": %.6f, \"p99_ms\": %.6f,\n"
+          "    \"deferred_lookups\": %lld,\n"
           "    \"identical\": %s, \"ok\": %s\n  },\n",
           kContendedThreads, kContendedCopies, kContendedBackground,
-          parked.p50_seconds * 1e3,
-          parked.p99_seconds * 1e3, deferred.p50_seconds * 1e3,
-          deferred.p99_seconds * 1e3,
-          static_cast<long long>(deferred.deferred_lookups),
-          static_cast<long long>(deferred.waiter_parks),
-          deferred.identical && parked.identical ? "true" : "false",
+          static_cast<long long>(contended_target),
+          static_cast<long long>(contended.misses_at_release),
+          contended.released_by_count ? "true" : "false",
+          contended.stall_seconds * 1e3, contended.p50_seconds * 1e3,
+          contended.p99_seconds * 1e3,
+          static_cast<long long>(contended.deferred_lookups),
+          contended.identical ? "true" : "false",
           contended_ok ? "true" : "false");
       std::fprintf(
           f,

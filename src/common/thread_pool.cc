@@ -113,12 +113,11 @@ void ThreadPool::TaskGroup::Submit(std::function<void()> task) {
 
 void ThreadPool::TaskGroup::Wait() {
   std::exception_ptr error;
-  if (pool_.workers_.empty()) {
-    // Inline mode already ran everything at Submit time.
+  {
     std::unique_lock<std::mutex> lock(pool_.mu_);
-    error = std::exchange(first_error_, nullptr);
-  } else {
-    std::unique_lock<std::mutex> lock(pool_.mu_);
+    // On an inline pool Submit already ran every task, so in_flight_ counts
+    // only deferred reservations; the loop below then sleeps (and helps
+    // with committed tasks) exactly as on a threaded pool.
     while (in_flight_ > 0) {
       if (!pool_.ready_.empty()) {
         // Help instead of sleeping: run the next round-robin task (possibly
@@ -138,17 +137,11 @@ void ThreadPool::TaskGroup::Wait() {
 }
 
 void ThreadPool::TaskGroup::ReserveDeferred() {
-  if (pool_.workers_.empty()) return;  // inline: CommitDeferred runs inline
   std::unique_lock<std::mutex> lock(pool_.mu_);
   ++in_flight_;
 }
 
 void ThreadPool::TaskGroup::CommitDeferred(std::function<void()> task) {
-  if (pool_.workers_.empty()) {
-    // Inline pools never defer; run under the same contracts as Submit.
-    Submit(std::move(task));
-    return;
-  }
   {
     std::unique_lock<std::mutex> lock(pool_.mu_);
     // in_flight_ already counts this task, since ReserveDeferred.
@@ -163,7 +156,6 @@ void ThreadPool::TaskGroup::CommitDeferred(std::function<void()> task) {
 }
 
 void ThreadPool::TaskGroup::AbandonDeferred() {
-  if (pool_.workers_.empty()) return;
   {
     std::unique_lock<std::mutex> lock(pool_.mu_);
     --in_flight_;
@@ -178,11 +170,7 @@ void ThreadPool::TaskGroup::Wait(const CancelToken& token,
     return;
   }
   std::exception_ptr error;
-  if (pool_.workers_.empty()) {
-    // Inline mode ran everything at Submit time; nothing can be deferred.
-    std::unique_lock<std::mutex> lock(pool_.mu_);
-    error = std::exchange(first_error_, nullptr);
-  } else {
+  {
     // Register before the first predicate check (the AddCancelWaiter
     // contract): Cancel() notifies progress_, so an explicit abort wakes
     // this waiter promptly. Deadline expiry never notifies — the sleep is

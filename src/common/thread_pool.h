@@ -31,7 +31,8 @@ class ThreadPool {
  public:
   /// Spawns `num_threads` workers. With num_threads <= 1 no workers are
   /// spawned and Submit runs tasks inline — the serial path stays free of
-  /// synchronization and of thread-creation cost.
+  /// thread-creation cost. Deferred tasks (CommitDeferred) still queue, and
+  /// a waiting thread runs them.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
@@ -86,9 +87,9 @@ class ThreadPool {
     /// and the event's continuation commits the follow-up — no thread ever
     /// parks in between. Reserve BEFORE registering the continuation, or a
     /// fast continuation could commit against a reservation that does not
-    /// exist yet. On an inline (<= 1 thread) pool deferral degenerates
-    /// (nothing runs concurrently that could fire a continuation), so the
-    /// reserve/abandon pair is a no-op and CommitDeferred runs inline.
+    /// exist yet. Inline (<= 1 thread) pools count reservations too: their
+    /// Wait sleeps until a continuation from another thread commits, then
+    /// runs the committed task itself.
     void ReserveDeferred();
     /// Enqueues `task` against one earlier ReserveDeferred(). Safe from any
     /// thread, including callbacks running outside the pool; the task is

@@ -99,7 +99,6 @@ std::string ToJson(const ExperimentResult& result) {
      << "\"unique_hierarchies\":" << result.pipeline.unique_hierarchies << ","
      << "\"cache_hits\":" << result.pipeline.cache_hits << ","
      << "\"cache_misses\":" << result.pipeline.cache_misses << ","
-     << "\"cache_dedup_waits\":" << result.pipeline.cache_dedup_waits << ","
      << "\"cache_deferred_lookups\":"
      << result.pipeline.cache_deferred_lookups << ","
      << "\"cache_cross_tenant_hits\":"
@@ -151,10 +150,8 @@ std::string ToJson(const PlannerServiceStats& stats) {
      << "\"remote_hits\":" << stats.cache.remote_hits << ","
      << "\"remote_errors\":" << stats.cache.remote_errors << ","
      << "\"subsumed_hits\":" << stats.cache.subsumed_hits << ","
-     << "\"dedup_waits\":" << stats.cache.dedup_waits << ","
      << "\"deferred_lookups\":" << stats.cache.deferred_lookups << ","
      << "\"continuations_fired\":" << stats.cache.continuations_fired << ","
-     << "\"waiter_parks\":" << stats.cache.waiter_parks << ","
      << "\"cross_tenant_hits\":" << stats.cache.cross_tenant_hits << ","
      << "\"evictions\":" << stats.cache.evictions << ","
      << "\"seconds_saved\":" << Num(stats.cache.seconds_saved) << ","

@@ -21,7 +21,7 @@ std::string ToJson(const PlacementEvaluation& eval);
 /// {"axes": [4, 16], "reduction_axes": [0], "algo": "Ring",
 ///  "payload_bytes": ...,
 ///  "pipeline": {"placements": N, "unique_hierarchies": U, "cache_hits": H,
-///               "cache_misses": M, "cache_dedup_waits": W,
+///               "cache_misses": M, "cache_deferred_lookups": DL,
 ///               "cache_cross_tenant_hits": X, "cache_disk_hits": D,
 ///               "cache_remote_hits": RH,
 ///               "disk_seconds_saved": DS, "guided_skipped": G,
@@ -39,7 +39,8 @@ std::string ToJson(const ExperimentResult& result);
 ///  "engines_constructed": E,
 ///  "cache": {"hits": H, "misses": M, "disk_hits": D, "remote_hits": RH,
 ///            "remote_errors": RE, "subsumed_hits": SH,
-///            "dedup_waits": W, "cross_tenant_hits": X, "evictions": EV,
+///            "deferred_lookups": DL, "continuations_fired": CF,
+///            "cross_tenant_hits": X, "evictions": EV,
 ///            "seconds_saved": S, "disk_seconds_saved": DS},
 ///  "threads": T,
 ///  "tenants": [{"id": 0, "fingerprint": ..., "cluster": ...,

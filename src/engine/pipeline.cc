@@ -169,16 +169,9 @@ PlacementEvaluation Pipeline::EvaluatePlacement(
   const auto sh = core::SynthesisHierarchy::Build(
       matrix, reduction_axes, engine_.options().hierarchy_kind,
       engine_.options().collapse_hierarchy);
-  // The engine's synthesis knobs plus this request's token. The token is
-  // execution-only (SynthesisCache::BaseKey excludes it), so entries are
-  // shared with tokenless requests.
+  // Uncached: the engine's synthesis knobs plus this request's token.
   core::SynthesisOptions synth_options = engine_.options().synthesis;
   synth_options.cancel = options_.cancel;
-  if (options_.cache_synthesis) {
-    const auto synthesis = service_.cache().GetOrSynthesize(
-        sh, synth_options, nullptr, options_.tenant);
-    return Evaluate(matrix, sh, *synthesis);
-  }
   const auto synthesis = core::SynthesizePrograms(sh, synth_options);
   return Evaluate(matrix, sh, synthesis);
 }
@@ -229,18 +222,25 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
 
   // This request's work items. Other in-flight requests have their own
   // groups on the same pool; the scheduler interleaves them round-robin and
-  // Wait (inside ParallelFor) helps execute instead of idling a worker, so
-  // requests running *as* pool tasks make progress too.
+  // Wait helps execute instead of idling a worker, so requests running *as*
+  // pool tasks make progress too.
   ThreadPool::TaskGroup group(service_.pool());
 
-  // Stages 3+4: synthesize once per unique signature, then
-  // lower/predict/measure every placement — either as two staged barriers
-  // (whose in-flight lookups park) or as one deferral-aware work loop. Each
-  // placement's lookup outcome lands in its own slot, so this request's
-  // cache accounting below is deterministic in placement order and never
-  // includes other requests' activity; either way the results land in
-  // preallocated slots whose order equals placement order, which *is* the
-  // deterministic merge — the output matches the serial path byte for byte.
+  // Stages 3+4: one self-re-enqueueing resolve task per signature group.
+  // Members resolve through non-blocking TryLookup; a group whose signature
+  // is being synthesized by another request reserves its pool slot,
+  // registers a completion continuation, and returns — the worker moves on
+  // to other pending tasks (this request's or anyone else's) instead of
+  // parking — and the continuation (owner publish or owner death) commits
+  // the task back into the group. Once every member holds its synthesis the
+  // group fans its evaluations into the same TaskGroup, so downstream
+  // lower/predict work interleaves with other groups' synthesis instead of
+  // waiting behind a barrier. Each placement's lookup outcome lands in its
+  // own slot, so this request's cache accounting below is deterministic in
+  // placement order and never includes other requests' activity; the
+  // results land in preallocated slots whose order equals placement order,
+  // which *is* the deterministic merge — the output matches the serial path
+  // byte for byte.
   //
   // The engine's synthesis knobs plus this request's token, threaded into
   // every dispatch below. Execution-only (SynthesisCache::BaseKey excludes
@@ -253,216 +253,173 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
   std::vector<CacheLookupOutcome> outcomes(n);
   result.placements.resize(n);
 
-  // Deferral needs a concurrent peer to fire continuations and other queued
-  // work to run meanwhile: on an inline pool (or cacheless, or opted out)
-  // the staged path is already optimal — and doubles as the parked-waiter
-  // baseline bench_pipeline's contended variant measures against.
-  const bool defer = options_.defer_inflight && options_.cache_synthesis &&
-                     service_.pool().num_threads() > 0;
+  struct GroupState {
+    std::size_t next_member = 0;  ///< members resolved so far
+    SynthesisCache::DeferredLookup deferred;
+    double synth_seconds = 0.0;
+  };
+  std::vector<GroupState> group_states(members_of.size());
+  std::vector<double> eval_seconds(n, 0.0);
+  std::atomic<std::int64_t> deferred_events{0};
+
+  // One FireState per deferral: whoever wins the fire-once CAS commits
+  // the re-enqueued resolve task — the cache continuation, or the cancel
+  // kick below. The shared_ptr keeps a late losing fire (a continuation
+  // an owner extracted before CancelDeferred could withdraw it) safe
+  // even after this frame unwound: it CAS-fails and touches nothing.
+  struct FireState {
+    std::atomic<bool> fired{false};
+    ThreadPool::TaskGroup* group = nullptr;
+    std::function<void()> task;
+  };
+  const auto try_fire = [](const std::shared_ptr<FireState>& state) {
+    bool expected = false;
+    if (state->fired.compare_exchange_strong(expected, true)) {
+      state->group->CommitDeferred(std::move(state->task));
+    }
+  };
+  std::mutex fire_mu;
+  bool kicked = false;  // guarded by fire_mu
+  std::vector<std::shared_ptr<FireState>> pending_fires;  // ditto
+
+  std::function<void(std::size_t)> resolve = [&](std::size_t g) {
+    MaybeInjectFault("pipeline.synthesize");
+    options_.cancel.ThrowIfCancelled();
+    GroupState& state = group_states[g];
+    const auto& members = members_of[g];
+    while (state.next_member < members.size()) {
+      const std::size_t i = members[state.next_member];
+      if (!options_.cache_synthesis) {
+        // Cacheless: the group is this one placement, which re-synthesizes.
+        const auto synth_start = std::chrono::steady_clock::now();
+        synthesis[i] = std::make_shared<const core::SynthesisResult>(
+            SynthesizePrograms(hierarchies[i], synth_options));
+        state.synth_seconds += SecondsSince(synth_start);
+        ++state.next_member;
+        continue;
+      }
+      // Reserve the pool slot BEFORE the lookup can register the
+      // continuation: a continuation firing instantly must find the
+      // reservation its CommitDeferred settles.
+      group.ReserveDeferred();
+      auto fire = std::make_shared<FireState>();
+      fire->group = &group;
+      fire->task = [&resolve, g] { resolve(g); };
+      SynthesisCache::TryLookupResult looked = service_.cache().TryLookup(
+          hierarchies[i], synth_options, [fire, try_fire] { try_fire(fire); },
+          &state.deferred, &outcomes[i], options_.tenant);
+      if (looked.state == SynthesisCache::TryLookupState::kInFlight) {
+        deferred_events.fetch_add(1, std::memory_order_relaxed);
+        // Publish the pending fire for the cancel kick. If the kick
+        // already ran, nobody walks the registry again — self-fire, and
+        // the committed re-run observes the cancellation and unwinds.
+        bool kick_now = false;
+        {
+          std::lock_guard<std::mutex> fire_lock(fire_mu);
+          pending_fires.push_back(fire);
+          kick_now = kicked;
+        }
+        if (kick_now) try_fire(fire);
+        // The reservation keeps group.Wait blocked (and helping) until
+        // exactly one CommitDeferred re-runs this task.
+        return;
+      }
+      // Not deferred: no continuation was registered, so the FireState is
+      // ours alone — neutralize it and release the unused reservation.
+      fire->fired.store(true, std::memory_order_relaxed);
+      group.AbandonDeferred();
+      if (looked.state == SynthesisCache::TryLookupState::kOwned) {
+        // This call owns the signature. Before synthesizing, try the
+        // remote cache plane: another worker process may already hold (or
+        // be granted) this signature, and a fetched hit settles the
+        // flight in place of CompleteOwned. A failed fetch (no backend,
+        // plane miss with local grant, plane unreachable) falls through
+        // to local synthesis: publish, fire the others. A failed
+        // synthesis (cancellation included) withdraws the claim first —
+        // the dead-owner contract. The owner never defers on its own
+        // claim, so every in-flight signature always has a running owner:
+        // owner chains cannot cycle.
+        if (auto fetched = service_.cache().FetchRemoteOwned(
+                hierarchies[i], synth_options, &outcomes[i])) {
+          synthesis[i] = std::move(fetched);
+          ++state.next_member;
+          continue;
+        }
+        std::shared_ptr<const core::SynthesisResult> owned;
+        const auto owned_start = std::chrono::steady_clock::now();
+        try {
+          owned = std::make_shared<const core::SynthesisResult>(
+              SynthesizePrograms(hierarchies[i], synth_options));
+        } catch (...) {
+          service_.cache().AbandonOwned(hierarchies[i], synth_options);
+          throw;
+        }
+        state.synth_seconds += SecondsSince(owned_start);
+        service_.cache().CompleteOwned(hierarchies[i], synth_options, owned,
+                                      options_.tenant);
+        synthesis[i] = std::move(owned);
+        // outcomes[i] stays the zeroed miss TryLookup reset it to.
+      } else {
+        synthesis[i] = std::move(looked.result);  // kReady: outcome filled
+      }
+      ++state.next_member;
+    }
+    // All members resolved: fan this group's evaluations into the same
+    // TaskGroup (submitting without waiting from inside a task is
+    // supported), where they interleave with other groups' work.
+    for (const std::size_t i : members) {
+      group.Submit([&, i] {
+        MaybeInjectFault("pipeline.evaluate");
+        options_.cancel.ThrowIfCancelled();
+        const auto eval_start = std::chrono::steady_clock::now();
+        result.placements[i] =
+            Evaluate(placements[i], hierarchies[i], *synthesis[i]);
+        eval_seconds[i] = SecondsSince(eval_start);
+      });
+    }
+  };
+
+  for (std::size_t g = 0; g < members_of.size(); ++g) {
+    group.Submit([&resolve, g] { resolve(g); });
+  }
+  // The cancel kick flushes every pending deferral back into the queue.
+  // It COMMITS (never abandons), so each pool reservation is settled by
+  // exactly one commit; the re-run tasks observe the cancellation at
+  // their checkpoint and unwind into the group's first error, which Wait
+  // rethrows with the usual abort taxonomy. Setting `kicked` under
+  // fire_mu closes the race with deferrals registering concurrently —
+  // they self-fire above.
+  const auto kick = [&] {
+    std::vector<std::shared_ptr<FireState>> snapshot;
+    {
+      std::lock_guard<std::mutex> fire_lock(fire_mu);
+      kicked = true;
+      snapshot.swap(pending_fires);
+    }
+    for (const auto& fire : snapshot) try_fire(fire);
+  };
+  std::exception_ptr error;
+  try {
+    group.Wait(options_.cancel, kick);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // Wait returned: every pool reservation is settled and no resolve task
+  // is running or pending — but a group whose committed task was
+  // fail-fast-skipped (or threw at its re-entry checkpoint) still holds
+  // its cache-side reservation and continuation registration. Settle
+  // them here.
+  for (GroupState& state : group_states) {
+    service_.cache().CancelDeferred(&state.deferred);
+  }
+  if (error != nullptr) std::rethrow_exception(error);
 
   double synthesis_seconds = 0.0;
-  double evaluation_seconds = 0.0;
-  std::int64_t deferred_total = 0;
-  if (!defer) {
-    // Staged scheduler. Signatures another request is synthesizing right
-    // now are waited on (GetOrSynthesize parks on the owner's cv), not
-    // re-synthesized; duplicate members resolve through the shared cache.
-    const auto synth_start = std::chrono::steady_clock::now();
-    group.ParallelFor(
-        static_cast<std::int64_t>(members_of.size()), [&](std::int64_t g) {
-          MaybeInjectFault("pipeline.synthesize");
-          options_.cancel.ThrowIfCancelled();
-          const auto& members = members_of[static_cast<std::size_t>(g)];
-          for (std::size_t i : members) {
-            if (options_.cache_synthesis) {
-              synthesis[i] = service_.cache().GetOrSynthesize(
-                  hierarchies[i], synth_options, &outcomes[i], options_.tenant);
-            } else {
-              synthesis[i] = std::make_shared<const core::SynthesisResult>(
-                  SynthesizePrograms(hierarchies[i], synth_options));
-            }
-          }
-        });
-    synthesis_seconds = SecondsSince(synth_start);
-
-    const auto eval_start = std::chrono::steady_clock::now();
-    group.ParallelFor(static_cast<std::int64_t>(n), [&](std::int64_t i) {
-      MaybeInjectFault("pipeline.evaluate");
-      options_.cancel.ThrowIfCancelled();
-      const auto idx = static_cast<std::size_t>(i);
-      result.placements[idx] =
-          Evaluate(placements[idx], hierarchies[idx], *synthesis[idx]);
-    });
-    evaluation_seconds = SecondsSince(eval_start);
-  } else {
-    // Deferral-aware scheduler: one self-re-enqueueing resolve task per
-    // signature group. Members resolve through non-blocking TryLookup; a
-    // group whose signature is being synthesized by another request
-    // reserves its pool slot, registers a completion continuation, and
-    // returns — the worker moves on to other pending tasks (this request's
-    // or anyone else's) instead of parking — and the continuation (owner
-    // publish or owner death) commits the task back into the group. Once
-    // every member holds its synthesis the group fans its evaluations into
-    // the same TaskGroup, so downstream lower/predict work interleaves
-    // with other groups' synthesis instead of waiting behind a barrier.
-    struct GroupState {
-      std::size_t next_member = 0;  ///< members resolved so far
-      SynthesisCache::DeferredLookup deferred;
-      double synth_seconds = 0.0;
-    };
-    std::vector<GroupState> group_states(members_of.size());
-    std::vector<double> eval_seconds(n, 0.0);
-    std::atomic<std::int64_t> deferred_events{0};
-
-    // One FireState per deferral: whoever wins the fire-once CAS commits
-    // the re-enqueued resolve task — the cache continuation, or the cancel
-    // kick below. The shared_ptr keeps a late losing fire (a continuation
-    // an owner extracted before CancelDeferred could withdraw it) safe
-    // even after this frame unwound: it CAS-fails and touches nothing.
-    struct FireState {
-      std::atomic<bool> fired{false};
-      ThreadPool::TaskGroup* group = nullptr;
-      std::function<void()> task;
-    };
-    const auto try_fire = [](const std::shared_ptr<FireState>& state) {
-      bool expected = false;
-      if (state->fired.compare_exchange_strong(expected, true)) {
-        state->group->CommitDeferred(std::move(state->task));
-      }
-    };
-    std::mutex fire_mu;
-    bool kicked = false;  // guarded by fire_mu
-    std::vector<std::shared_ptr<FireState>> pending_fires;  // ditto
-
-    std::function<void(std::size_t)> resolve = [&](std::size_t g) {
-      MaybeInjectFault("pipeline.synthesize");
-      options_.cancel.ThrowIfCancelled();
-      GroupState& state = group_states[g];
-      const auto& members = members_of[g];
-      while (state.next_member < members.size()) {
-        const std::size_t i = members[state.next_member];
-        // Reserve the pool slot BEFORE the lookup can register the
-        // continuation: a continuation firing instantly must find the
-        // reservation its CommitDeferred settles.
-        group.ReserveDeferred();
-        auto fire = std::make_shared<FireState>();
-        fire->group = &group;
-        fire->task = [&resolve, g] { resolve(g); };
-        SynthesisCache::TryLookupResult looked = service_.cache().TryLookup(
-            hierarchies[i], synth_options, [fire, try_fire] { try_fire(fire); },
-            &state.deferred, &outcomes[i], options_.tenant);
-        if (looked.state == SynthesisCache::TryLookupState::kInFlight) {
-          deferred_events.fetch_add(1, std::memory_order_relaxed);
-          // Publish the pending fire for the cancel kick. If the kick
-          // already ran, nobody walks the registry again — self-fire, and
-          // the committed re-run observes the cancellation and unwinds.
-          bool kick_now = false;
-          {
-            std::lock_guard<std::mutex> fire_lock(fire_mu);
-            pending_fires.push_back(fire);
-            kick_now = kicked;
-          }
-          if (kick_now) try_fire(fire);
-          // The reservation keeps group.Wait blocked (and helping) until
-          // exactly one CommitDeferred re-runs this task.
-          return;
-        }
-        // Not deferred: no continuation was registered, so the FireState is
-        // ours alone — neutralize it and release the unused reservation.
-        fire->fired.store(true, std::memory_order_relaxed);
-        group.AbandonDeferred();
-        if (looked.state == SynthesisCache::TryLookupState::kOwned) {
-          // This call owns the signature. Before synthesizing, try the
-          // remote cache plane: another worker process may already hold (or
-          // be granted) this signature, and a fetched hit settles the
-          // flight in place of CompleteOwned. A failed fetch (no backend,
-          // plane miss with local grant, plane unreachable) falls through
-          // to local synthesis: publish, wake/fire the others. A failed
-          // synthesis (cancellation included) withdraws the claim first —
-          // the dead-owner contract. The owner never defers on its own
-          // claim, so every in-flight signature always has a running owner:
-          // owner chains cannot cycle.
-          if (auto fetched = service_.cache().FetchRemoteOwned(
-                  hierarchies[i], synth_options, &outcomes[i])) {
-            synthesis[i] = std::move(fetched);
-            ++state.next_member;
-            continue;
-          }
-          std::shared_ptr<const core::SynthesisResult> owned;
-          const auto owned_start = std::chrono::steady_clock::now();
-          try {
-            owned = std::make_shared<const core::SynthesisResult>(
-                SynthesizePrograms(hierarchies[i], synth_options));
-          } catch (...) {
-            service_.cache().AbandonOwned(hierarchies[i], synth_options);
-            throw;
-          }
-          state.synth_seconds += SecondsSince(owned_start);
-          service_.cache().CompleteOwned(hierarchies[i], synth_options, owned,
-                                        options_.tenant);
-          synthesis[i] = std::move(owned);
-          // outcomes[i] stays the zeroed miss TryLookup reset it to.
-        } else {
-          synthesis[i] = std::move(looked.result);  // kReady: outcome filled
-        }
-        ++state.next_member;
-      }
-      // All members resolved: fan this group's evaluations into the same
-      // TaskGroup (submitting without waiting from inside a task is
-      // supported), where they interleave with other groups' work.
-      for (const std::size_t i : members) {
-        group.Submit([&, i] {
-          MaybeInjectFault("pipeline.evaluate");
-          options_.cancel.ThrowIfCancelled();
-          const auto eval_start = std::chrono::steady_clock::now();
-          result.placements[i] =
-              Evaluate(placements[i], hierarchies[i], *synthesis[i]);
-          eval_seconds[i] = SecondsSince(eval_start);
-        });
-      }
-    };
-
-    for (std::size_t g = 0; g < members_of.size(); ++g) {
-      group.Submit([&resolve, g] { resolve(g); });
-    }
-    // The cancel kick flushes every pending deferral back into the queue.
-    // It COMMITS (never abandons), so each pool reservation is settled by
-    // exactly one commit; the re-run tasks observe the cancellation at
-    // their checkpoint and unwind into the group's first error, which Wait
-    // rethrows with the usual abort taxonomy. Setting `kicked` under
-    // fire_mu closes the race with deferrals registering concurrently —
-    // they self-fire above.
-    const auto kick = [&] {
-      std::vector<std::shared_ptr<FireState>> snapshot;
-      {
-        std::lock_guard<std::mutex> fire_lock(fire_mu);
-        kicked = true;
-        snapshot.swap(pending_fires);
-      }
-      for (const auto& fire : snapshot) try_fire(fire);
-    };
-    std::exception_ptr error;
-    try {
-      group.Wait(options_.cancel, kick);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    // Wait returned: every pool reservation is settled and no resolve task
-    // is running or pending — but a group whose committed task was
-    // fail-fast-skipped (or threw at its re-entry checkpoint) still holds
-    // its cache-side reservation and continuation registration. Settle
-    // them exactly like the parked path's cancelled waiter does.
-    for (GroupState& state : group_states) {
-      service_.cache().CancelDeferred(&state.deferred);
-    }
-    if (error != nullptr) std::rethrow_exception(error);
-
-    for (const GroupState& state : group_states) {
-      synthesis_seconds += state.synth_seconds;
-    }
-    for (const double s : eval_seconds) evaluation_seconds += s;
-    deferred_total = deferred_events.load(std::memory_order_relaxed);
+  for (const GroupState& state : group_states) {
+    synthesis_seconds += state.synth_seconds;
   }
+  double evaluation_seconds = 0.0;
+  for (const double s : eval_seconds) evaluation_seconds += s;
 
   result.pipeline.num_placements = static_cast<std::int64_t>(n);
   result.pipeline.unique_hierarchies =
@@ -494,10 +451,10 @@ ExperimentResult Pipeline::Run(std::span<const std::int64_t> axes,
       } else {
         ++result.pipeline.cache_misses;
       }
-      if (o.waited) ++result.pipeline.cache_dedup_waits;
     }
   }
-  result.pipeline.cache_deferred_lookups = deferred_total;
+  result.pipeline.cache_deferred_lookups =
+      deferred_events.load(std::memory_order_relaxed);
   result.pipeline.synthesis_seconds = synthesis_seconds;
   result.pipeline.evaluation_seconds = evaluation_seconds;
   result.pipeline.total_seconds = SecondsSince(start);

@@ -1,5 +1,5 @@
-// The staged per-query executor behind the planning service
-// (engine/service.h) and Engine::RunExperiment:
+// The per-query executor behind the planning service (engine/service.h)
+// and Engine::RunExperiment:
 //
 //   enumerate placements -> dedup by synthesis-hierarchy signature
 //     -> synthesize once per signature (memoized in the service's shared
@@ -10,12 +10,17 @@
 // A Pipeline is stateless: it borrows the process-wide cache and worker
 // pool from its PlannerService and holds only per-query options, so any
 // number of pipelines (one per in-flight request) share synthesis results
-// and threads. Placements are independent once their synthesis hierarchies
-// are shared, so stages 3-4 run as work items on a ThreadPool::TaskGroup of
-// the shared pool — concurrent requests' items interleave fairly — and
-// results are written into preallocated slots and merged in enumeration
-// order, which makes the parallel output byte-identical to the serial path
-// (modulo wall-clock timing fields).
+// and threads. Stages 3-4 run as one resolve task per signature group on a
+// ThreadPool::TaskGroup of the shared pool — concurrent requests' tasks
+// interleave fairly. A group whose signature another request is
+// synthesizing right now defers: it registers a cache continuation and
+// frees its thread, and the continuation re-enqueues it when the owner
+// publishes (or dies). No thread ever blocks on a foreign synthesis, on
+// any pool size, inline (one-thread) pools included. Each resolved group
+// fans its evaluations into the same TaskGroup; results are written into
+// preallocated slots and merged in enumeration order, which makes the
+// parallel output byte-identical to the serial path (modulo wall-clock
+// timing fields).
 #ifndef P2_ENGINE_PIPELINE_H_
 #define P2_ENGINE_PIPELINE_H_
 
@@ -55,18 +60,6 @@ struct PipelineOptions {
   /// *other* requests sharing the pool are untouched. Null (the default)
   /// never cancels.
   CancelToken cancel;
-  /// Defer instead of park on another request's in-flight synthesis: a
-  /// signature group owned elsewhere re-enqueues itself through a
-  /// SynthesisCache::TryLookup continuation while the worker runs other
-  /// pending tasks — other placements, evaluations, even whole queued
-  /// requests — so no pool thread ever blocks on a foreign synthesis
-  /// (stats: cache_deferred_lookups up, cache_dedup_waits and the
-  /// service-wide waiter_parks pinned to 0). Off falls back to the staged
-  /// scheduler whose in-flight lookups park on the owner's condition
-  /// variable (the tail-latency baseline bench_pipeline's contended
-  /// variant measures against). Effective only with cache_synthesis on a
-  /// threaded pool; outputs are byte-identical either way.
-  bool defer_inflight = true;
 };
 
 class Pipeline {
@@ -87,7 +80,8 @@ class Pipeline {
                        std::span<const int> reduction_axes);
 
   /// Single-placement entry point (stages 3-4 only, inline on the calling
-  /// thread); shares the service's cache like any other query.
+  /// thread). Uncached: it always re-synthesizes, whatever
+  /// options().cache_synthesis says.
   PlacementEvaluation EvaluatePlacement(const core::ParallelismMatrix& matrix,
                                         std::span<const int> reduction_axes);
 

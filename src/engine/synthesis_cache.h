@@ -13,33 +13,21 @@
 // The cache is the process-wide shared core of the planning service
 // (engine/service.h), so it is built for concurrent queries:
 //
-//  - In-flight deduplication: when two threads miss the same signature
-//    simultaneously, exactly one runs the synthesis; the others block on it
-//    and are then served the finished entry (one miss total, the rest are
-//    hits that `waited`). An owner whose synthesis throws — including a
-//    cooperative cancellation of *its* request — withdraws the in-flight
-//    announcement before waking the waiters, so each waiter re-checks,
-//    finds no flight, and dispatches the synthesis itself: a dead owner
-//    never parks its waiters forever. Symmetrically, a waiter whose own
-//    request aborts (SynthesisOptions::cancel) interrupts its wait and
-//    unwinds instead of riding out a foreign owner's synthesis.
-//  - Non-blocking lookups: TryLookup() is the deferral-capable face of the
-//    same machinery. Instead of parking on a foreign in-flight synthesis it
-//    registers a completion continuation and returns kInFlight, holding the
-//    same eviction reservation a parked waiter would; owner completion AND
-//    owner death fire the continuations (outside the cache lock), and the
-//    caller retries with the same DeferredLookup handle — the retry
-//    releases the reservation under the same lock acquisition as its
-//    lookup, exactly the parked path's closed publish-to-read window. A
-//    caller that loses interest settles with CancelDeferred(), which
-//    releases the reservation like a cancelled parked waiter and withdraws
-//    the continuation (one already extracted by a completing owner may
-//    still fire late — callers guard with a fire-once flag). kOwned tells
-//    the caller to synthesize itself and settle with CompleteOwned /
-//    AbandonOwned. The pipeline's deferral scheduler (engine/pipeline.cc)
-//    is built on this surface, so no pool thread ever parks on another
-//    request's synthesis (`waiter_parks` counts the remaining blocking
-//    waits of the GetOrSynthesize path).
+//  - In-flight deduplication without blocking: TryLookup() serves the
+//    entry (kReady), claims the synthesis for the caller (kOwned: it
+//    synthesizes and settles with CompleteOwned, or AbandonOwned when the
+//    synthesis throws — cancellation included), or, when another call owns
+//    the signature right now, registers a completion continuation and
+//    returns kInFlight. Owner completion AND owner death fire the
+//    continuations (outside the cache lock), and the caller retries with
+//    the same DeferredLookup handle. After an owner death the retry finds
+//    no flight and claims the synthesis itself, so a dead owner costs a
+//    retry, never a hang. A caller that loses interest settles with
+//    CancelDeferred(), which withdraws the continuation (one already
+//    extracted by a settling owner may still fire late — callers guard with
+//    a fire-once flag). No thread ever blocks in the cache on another
+//    call's synthesis: the pipeline's scheduler (engine/pipeline.cc)
+//    re-enqueues deferred work through the continuation.
 //  - max_programs subsumption: an entry synthesized under a larger
 //    max_programs cap serves smaller-cap queries by truncating its program
 //    list. That is exact, not approximate: SynthesizePrograms keeps the
@@ -51,18 +39,18 @@
 //  - Bounded size (optional): constructed with max_entries > 0 the cache
 //    holds at most that many entries, evicting the least-recently-used on
 //    overflow (`evictions` stat). Eviction only ever costs re-synthesis —
-//    results are unchanged — and it never drops an entry a concurrent
-//    in-flight waiter is about to be served from: a waiter reserves its
-//    base key before blocking and releases the reservation only after its
-//    post-wake lookup, so a reserved base is immune to eviction for the
-//    whole window between publication and the last waiter's read.
+//    results are unchanged — and it never drops an entry a deferred lookup
+//    is about to be served from: a kInFlight lookup reserves its base key
+//    and releases the reservation only in its retry (under the same lock
+//    acquisition as the retry's read) or in CancelDeferred, so a reserved
+//    base is immune to eviction for the whole window between publication
+//    and the last deferred caller's read.
 //
 // The cache can also be warmed from and persisted to disk across processes
 // via engine/cache_store.h (Preload/Snapshot below).
 #ifndef P2_ENGINE_SYNTHESIS_CACHE_H_
 #define P2_ENGINE_SYNTHESIS_CACHE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -73,7 +61,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/cancel.h"
 #include "core/synthesizer.h"
 #include "engine/remote_cache.h"
 
@@ -88,24 +75,18 @@ struct SynthesisCacheStats {
   /// Hits served by truncating an entry synthesized under a larger
   /// max_programs cap (a subset of `hits`).
   std::int64_t subsumed_hits = 0;
-  /// Lookups that blocked on a concurrent in-flight synthesis of the same
-  /// signature instead of running their own (a subset of `hits`).
-  std::int64_t dedup_waits = 0;
   /// Hits served by an entry a *different tenant's* query synthesized (a
-  /// subset of `hits`; see the tenant tag on GetOrSynthesize) — the
+  /// subset of `hits`; see the tenant tag on TryLookup) — the
   /// cross-cluster sharing a multi-tenant service exists for.
   std::int64_t cross_tenant_hits = 0;
   /// Entries dropped by the LRU cap (max_entries in the constructor).
   std::int64_t evictions = 0;
   /// TryLookup calls that found a foreign in-flight synthesis and registered
-  /// a completion continuation instead of parking (TryLookupState::kInFlight
-  /// returns — the non-blocking counterpart of dedup_waits).
+  /// a completion continuation (TryLookupState::kInFlight returns).
   std::int64_t deferred_lookups = 0;
   /// Continuations fired at owner completion or withdrawal.
   std::int64_t continuations_fired = 0;
-  /// GetOrSynthesize calls that parked their thread behind a foreign
-  /// in-flight synthesis (one per park, not per call). The deferral-aware
-  /// pipeline keeps this at 0: its lookups go through TryLookup.
+  /// Always 0 (nothing parks); kept for perfbench's engine.cache.waiter_parks.
   std::int64_t waiter_parks = 0;
   /// Local misses served by fetching a foreign worker's entry from the
   /// remote cache plane (engine/remote_cache.h; a subset of `hits`). Zero
@@ -124,7 +105,7 @@ struct SynthesisCacheStats {
   double disk_seconds_saved = 0.0;
 };
 
-/// How a single GetOrSynthesize call was resolved, from the caller's
+/// How a single TryLookup call was resolved, from the caller's
 /// perspective. Concurrent queries sharing one cache cannot attribute the
 /// global stats() deltas to themselves; this per-call outcome is what the
 /// pipeline sums into its per-request PipelineStats instead.
@@ -136,9 +117,8 @@ struct CacheLookupOutcome {
   /// hits).
   bool from_remote = false;
   bool subsumed = false;   ///< served by truncating a larger-cap entry
-  bool waited = false;     ///< blocked on a concurrent in-flight synthesis
   /// Served by an entry another tenant's query synthesized (see the tenant
-  /// tag on GetOrSynthesize; never set for disk-preloaded entries, which
+  /// tag on TryLookup; never set for disk-preloaded entries, which
   /// belong to no tenant).
   bool cross_tenant = false;
   /// Original synthesis wall-clock of the serving entry (0.0 on a miss):
@@ -209,21 +189,12 @@ class SynthesisCache {
   /// local-only behaviour. Set before concurrent use.
   void set_remote(std::shared_ptr<RemoteCacheBackend> remote);
 
-  /// Returns the memoized synthesis result for `sh`'s signature under
-  /// `options`, running core::SynthesizePrograms on a miss. Safe to call
-  /// concurrently; see the file comment for the in-flight-dedup,
-  /// max_programs-subsumption and LRU semantics. `outcome`, when non-null,
-  /// receives how this particular call was resolved. `tenant` is an opaque
-  /// caller identity (the service's tenant id) used only for the
-  /// cross-tenant-reuse accounting.
-  std::shared_ptr<const core::SynthesisResult> GetOrSynthesize(
-      const core::SynthesisHierarchy& sh, const core::SynthesisOptions& options,
-      CacheLookupOutcome* outcome = nullptr, std::int64_t tenant = kNoTenant);
-
-  /// Non-blocking lookup. kReady serves exactly like GetOrSynthesize's hit
-  /// path (same stats and outcome attribution). kOwned announces this
-  /// caller as the in-flight owner — it must run the synthesis itself and
-  /// settle with CompleteOwned / AbandonOwned. kInFlight registers
+  /// Non-blocking lookup of `sh`'s signature under `options`; safe to call
+  /// concurrently (see the file comment for the in-flight-dedup,
+  /// max_programs-subsumption and LRU semantics). kReady serves the entry
+  /// (hit stats and outcome attribution). kOwned announces this caller as
+  /// the in-flight owner — it must run the synthesis itself and settle with
+  /// CompleteOwned / AbandonOwned. kInFlight registers
   /// `on_resolved` to fire (outside the cache lock, from whichever thread
   /// settles the flight) when the current owner publishes or withdraws,
   /// takes an eviction reservation, and marks `deferred` active; the caller
@@ -233,7 +204,9 @@ class SynthesisCache {
   /// safe to invoke at any later time from any thread, including after the
   /// caller lost interest (fire-once guards belong to the caller).
   /// `deferred` is required; `outcome` is reset on every call, so the
-  /// settling call determines it.
+  /// settling call determines it. `tenant` is an opaque caller identity
+  /// (the service's tenant id) used only for the cross-tenant-reuse
+  /// accounting.
   TryLookupResult TryLookup(const core::SynthesisHierarchy& sh,
                             const core::SynthesisOptions& options,
                             std::function<void()> on_resolved,
@@ -242,30 +215,29 @@ class SynthesisCache {
                             std::int64_t tenant = kNoTenant);
 
   /// Publishes the result of a kOwned TryLookup (the owner's miss — counted
-  /// here), fires registered continuations, and wakes parked waiters.
+  /// here) and fires registered continuations.
   void CompleteOwned(const core::SynthesisHierarchy& sh,
                      const core::SynthesisOptions& options,
                      std::shared_ptr<const core::SynthesisResult> result,
                      std::int64_t tenant = kNoTenant);
 
   /// Withdraws a kOwned announcement whose synthesis failed (cancellation
-  /// included): continuations fire and parked waiters wake, and each
-  /// retries and re-dispatches — the dead-owner contract of the parked
-  /// path, verbatim.
+  /// included): continuations fire, and each deferred caller's retry finds
+  /// no flight and claims the synthesis itself.
   void AbandonOwned(const core::SynthesisHierarchy& sh,
                     const core::SynthesisOptions& options);
 
   /// Settles an active deferred lookup without retrying: releases its
-  /// eviction reservation — exactly like a cancelled parked waiter — and
-  /// withdraws its continuation registration. A continuation already
-  /// extracted by a settling owner may still fire afterwards; that late
-  /// fire must be a no-op for the caller. No-op on an inactive handle.
+  /// eviction reservation and withdraws its continuation registration. A
+  /// continuation already extracted by a settling owner may still fire
+  /// afterwards; that late fire must be a no-op for the caller. No-op on an
+  /// inactive handle.
   void CancelDeferred(DeferredLookup* deferred);
 
   /// Remote consult for a kOwned TryLookup, before the owner pays for a
   /// local synthesis. Non-null when the plane served the signature: the
   /// fetched result was adopted into the table, the owner's flight was
-  /// settled (waking parked waiters and firing continuations), the fetch
+  /// settled (firing continuations), the fetch
   /// was counted as a hit + remote_hit, and `outcome` was filled — the
   /// caller must NOT call CompleteOwned/AbandonOwned and uses the returned
   /// (cap-truncated) result directly. Null — no backend, plane unavailable,
@@ -368,45 +340,27 @@ class SynthesisCache {
     }
   };
 
-  /// One signature currently being synthesized; later arrivals block in
-  /// Wait() instead of synthesizing again. The owner signals completion (or
-  /// withdrawal) with MarkDone(); a cancellable waiter additionally
-  /// registers the cv with its own CancelToken (common/cancel.h), so a
-  /// cancel of *its* request wakes it immediately — no poll interval.
-  struct InFlight {
-    void MarkDone();
-    /// Blocks until MarkDone(); true then. False when `cancel` aborted
-    /// first — including deadline expiry, which never notifies a cv, so the
-    /// block is bounded by the token's armed deadline.
-    bool Wait(const CancelToken& cancel);
-
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-
-    /// One deferred waiter's completion callback. Guarded by the *cache's*
-    /// mu_ (not by `m`): registration, withdrawal, and extraction all
-    /// happen under the cache lock; firing happens outside every lock.
-    struct Continuation {
-      std::uint64_t id = 0;
-      std::function<void()> fn;
-    };
-    std::vector<Continuation> continuations;
+  /// One deferred lookup's completion callback, registered on the flight
+  /// of the signature it waits for. Guarded by mu_: registration,
+  /// withdrawal, and extraction all happen under the cache lock; firing
+  /// happens outside every lock.
+  struct Continuation {
+    std::uint64_t id = 0;
+    std::function<void()> fn;
   };
 
   /// Inserts or replaces the entry at `base` (mu_ held), maintaining the
   /// LRU list.
   Entry& PublishLocked(const std::string& base, Entry entry);
-  /// The shared hit path of GetOrSynthesize and TryLookup: LRU touch, hit
-  /// stats and outcome attribution, then (unlocked) the exact subsumption
-  /// truncation. `lock` must hold mu_ on entry; released on return.
+  /// TryLookup's hit path: LRU touch, hit stats and outcome attribution,
+  /// then (unlocked) the exact subsumption truncation. `lock` must hold mu_
+  /// on entry; released on return.
   std::shared_ptr<const core::SynthesisResult> ServeHitLocked(
       std::unique_lock<std::mutex>& lock, Entry& entry, std::int64_t cap,
-      std::int64_t tenant, bool waited, CacheLookupOutcome* outcome);
+      std::int64_t tenant, CacheLookupOutcome* outcome);
   /// Settles the flight at `base`: erases the announcement and extracts its
-  /// continuations under `lock`, then (unlocked) wakes parked waiters and
-  /// fires the continuations. `lock` must hold mu_ on entry; released on
-  /// return.
+  /// continuations under `lock`, then (unlocked) fires them. `lock` must
+  /// hold mu_ on entry; released on return.
   void SettleFlight(std::unique_lock<std::mutex>& lock,
                     const std::string& base);
   /// Moves `base` to the front of the LRU list (mu_ held).
@@ -426,20 +380,21 @@ class SynthesisCache {
   /// (cap-truncated) result. Takes mu_.
   std::shared_ptr<const core::SynthesisResult> AdoptRemoteHit(
       const std::string& base, core::SynthesisResult fetched,
-      std::int64_t entry_cap, std::int64_t cap, bool waited,
-      CacheLookupOutcome* outcome);
+      std::int64_t entry_cap, std::int64_t cap, CacheLookupOutcome* outcome);
   /// Drops least-recently-used entries until the cap holds, skipping bases
-  /// with outstanding waiter reservations (mu_ held); a no-op when
+  /// with outstanding deferred-lookup reservations (mu_ held); a no-op when
   /// max_entries_ <= 0.
   void EvictLocked();
 
   const std::int64_t max_entries_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, Entry> entries_;  ///< by BaseKey
-  std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
-  /// Bases with in-flight waiters parked on them (count of waiters): a
-  /// reservation makes the base immune to LRU eviction until the waiter's
-  /// post-wake lookup has run, closing the publish-to-read window.
+  /// Signatures being synthesized right now, by BaseKey, each with the
+  /// continuations of the lookups deferred behind it.
+  std::unordered_map<std::string, std::vector<Continuation>> inflight_;
+  /// Bases with deferred lookups pending on them (count of lookups): a
+  /// reservation makes the base immune to LRU eviction until the lookup's
+  /// retry has run, closing the publish-to-read window.
   std::unordered_map<std::string, std::int64_t> reserved_;
   std::list<std::string> lru_;  ///< base keys, most-recently-used first
   /// Tags deferred-lookup continuation registrations so CancelDeferred can

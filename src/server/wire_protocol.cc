@@ -1,132 +1,12 @@
 #include "server/wire_protocol.h"
 
-#include <bit>
 #include <cmath>
+
+#include "common/bytes.h"
 
 namespace p2::server {
 
 namespace {
-
-// FNV-1a 64-bit, as in engine/cache_store.cc: all a frame needs is
-// corruption *detection* — any flipped byte changes the digest.
-std::uint64_t Fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// --- little-endian primitives ---------------------------------------------
-
-void AppendU8(std::string* out, std::uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void AppendU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendI32(std::string* out, std::int32_t v) {
-  AppendU32(out, static_cast<std::uint32_t>(v));
-}
-
-void AppendI64(std::string* out, std::int64_t v) {
-  AppendU64(out, static_cast<std::uint64_t>(v));
-}
-
-void AppendF64(std::string* out, double v) {
-  AppendU64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void AppendString(std::string* out, std::string_view s) {
-  AppendU32(out, static_cast<std::uint32_t>(s.size()));
-  out->append(s);
-}
-
-// Bounds-checked sequential reader (the cache_store idiom): every Read*
-// returns false on exhaustion, so a truncated or lying payload can never
-// walk off the buffer.
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
-  bool ReadU8(std::uint8_t* v) {
-    if (remaining() < 1) return false;
-    *v = static_cast<std::uint8_t>(bytes_[pos_++]);
-    return true;
-  }
-
-  bool ReadU32(std::uint32_t* v) {
-    if (remaining() < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(static_cast<unsigned char>(
-                bytes_[pos_ + static_cast<std::size_t>(i)]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool ReadU64(std::uint64_t* v) {
-    if (remaining() < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(static_cast<unsigned char>(
-                bytes_[pos_ + static_cast<std::size_t>(i)]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool ReadI32(std::int32_t* v) {
-    std::uint32_t u = 0;
-    if (!ReadU32(&u)) return false;
-    *v = static_cast<std::int32_t>(u);
-    return true;
-  }
-
-  bool ReadI64(std::int64_t* v) {
-    std::uint64_t u = 0;
-    if (!ReadU64(&u)) return false;
-    *v = static_cast<std::int64_t>(u);
-    return true;
-  }
-
-  bool ReadF64(double* v) {
-    std::uint64_t u = 0;
-    if (!ReadU64(&u)) return false;
-    *v = std::bit_cast<double>(u);
-    return true;
-  }
-
-  bool ReadString(std::string* v) {
-    std::uint32_t len = 0;
-    if (!ReadU32(&len)) return false;
-    if (remaining() < len) return false;
-    v->assign(bytes_.substr(pos_, len));
-    pos_ += len;
-    return true;
-  }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
 
 // Sanity bounds for counts and sizes a decoder would otherwise trust from
 // the wire. Generous for every real request, tight enough that a forged
@@ -216,7 +96,6 @@ void EncodePipelineStats(std::string* out, const engine::PipelineStats& s) {
   AppendI64(out, s.unique_hierarchies);
   AppendI64(out, s.cache_hits);
   AppendI64(out, s.cache_misses);
-  AppendI64(out, s.cache_dedup_waits);
   AppendI64(out, s.cache_deferred_lookups);
   AppendI64(out, s.cache_cross_tenant_hits);
   AppendI64(out, s.cache_disk_hits);
@@ -236,7 +115,6 @@ void EncodePipelineStats(std::string* out, const engine::PipelineStats& s) {
 bool DecodePipelineStats(Reader* r, engine::PipelineStats* s) {
   return r->ReadI64(&s->num_placements) && r->ReadI64(&s->unique_hierarchies) &&
          r->ReadI64(&s->cache_hits) && r->ReadI64(&s->cache_misses) &&
-         r->ReadI64(&s->cache_dedup_waits) &&
          r->ReadI64(&s->cache_deferred_lookups) &&
          r->ReadI64(&s->cache_cross_tenant_hits) &&
          r->ReadI64(&s->cache_disk_hits) &&

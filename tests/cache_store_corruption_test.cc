@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "cache_lookup.h"
 #include "test_temp_path.h"
 
 #include <filesystem>
@@ -55,8 +56,8 @@ std::string ValidImage() {
   core::SynthesisOptions options;
   options.max_program_size = 2;
   SynthesisCache cache;
-  cache.GetOrSynthesize(SmallHierarchy(2), options);
-  cache.GetOrSynthesize(SmallHierarchy(3), options);
+  LookupOrSynthesize(cache, SmallHierarchy(2), options);
+  LookupOrSynthesize(cache, SmallHierarchy(3), options);
   std::vector<CacheFileEntry> entries;
   for (auto& [key, result] : cache.Snapshot()) {
     entries.push_back(CacheFileEntry{std::move(key), std::move(result)});
@@ -86,7 +87,7 @@ void ExpectColdLoad(const std::string& bytes, CacheLoadStatus expected,
   // The cold cache still synthesizes on demand — corruption never wedges it.
   core::SynthesisOptions options;
   options.max_program_size = 2;
-  const auto result = cache.GetOrSynthesize(SmallHierarchy(2), options);
+  const auto result = LookupOrSynthesize(cache, SmallHierarchy(2), options);
   EXPECT_FALSE(result->programs.empty()) << tag;
   EXPECT_EQ(cache.stats().misses, 1) << tag;
   std::filesystem::remove(path);
@@ -152,7 +153,7 @@ TEST(CacheStoreCorruption, NeverOverwritesAVersionMismatchedFile) {
   EXPECT_EQ(store.LoadInto(&cache), CacheLoadStatus::kBadVersion);
   core::SynthesisOptions options;
   options.max_program_size = 2;
-  cache.GetOrSynthesize(SmallHierarchy(2), options);
+  LookupOrSynthesize(cache, SmallHierarchy(2), options);
   std::string error;
   EXPECT_FALSE(store.Save(cache, &error));
   EXPECT_NE(error.find("refusing"), std::string::npos);
@@ -259,7 +260,7 @@ TEST(CacheStoreCorruption, SaveOverCorruptFileRecoversAValidOne) {
 
   core::SynthesisOptions options;
   options.max_program_size = 2;
-  cache.GetOrSynthesize(SmallHierarchy(2), options);
+  LookupOrSynthesize(cache, SmallHierarchy(2), options);
   ASSERT_TRUE(store.Save(cache));
 
   SynthesisCache recovered;
@@ -290,7 +291,7 @@ TEST(CacheStoreCorruption, SaveIsAtomicAgainstConcurrentReaders) {
   core::SynthesisOptions options;
   options.max_program_size = 2;
   SynthesisCache cache;
-  cache.GetOrSynthesize(SmallHierarchy(2), options);
+  LookupOrSynthesize(cache, SmallHierarchy(2), options);
   CacheStore store(path);
   ASSERT_TRUE(store.Save(cache));
   const auto contents = store.Load();

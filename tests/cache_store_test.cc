@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include "cache_lookup.h"
 #include "test_temp_path.h"
 
 #include <cstdint>
@@ -133,7 +134,7 @@ TEST(CacheStore, SaveThenLoadServesIdenticalProgramsFromDisk) {
   const auto hierarchies = RandomHierarchies();
 
   SynthesisCache cache;
-  for (const auto& sh : hierarchies) cache.GetOrSynthesize(sh, options);
+  for (const auto& sh : hierarchies) LookupOrSynthesize(cache, sh, options);
   const std::size_t unique = cache.size();
 
   const std::string path = TempPath("roundtrip");
@@ -149,7 +150,7 @@ TEST(CacheStore, SaveThenLoadServesIdenticalProgramsFromDisk) {
   EXPECT_EQ(warmed.size(), unique);
 
   for (const auto& sh : hierarchies) {
-    const auto served = warmed.GetOrSynthesize(sh, options);
+    const auto served = LookupOrSynthesize(warmed, sh, options);
     // Served from disk: zero synthesis happened in "this process"...
     EXPECT_EQ(served->stats.seconds, 0.0);
     // ...yet the programs are element-wise identical to a fresh synthesis.
@@ -181,7 +182,7 @@ TEST(CacheStore, KeyIsStableAcrossDeviceRenumbering) {
             SynthesisCache::Key(shb, options));
 
   SynthesisCache cache;
-  cache.GetOrSynthesize(sha, options);
+  LookupOrSynthesize(cache, sha, options);
   const std::string path = TempPath("renumbering");
   CacheStore store(path);
   ASSERT_TRUE(store.Save(cache));
@@ -189,7 +190,7 @@ TEST(CacheStore, KeyIsStableAcrossDeviceRenumbering) {
   SynthesisCache warmed;
   CacheStore reader(path);
   ASSERT_EQ(reader.LoadInto(&warmed), CacheLoadStatus::kOk);
-  warmed.GetOrSynthesize(shb, options);  // the *renumbered* placement
+  LookupOrSynthesize(warmed, shb, options);  // the *renumbered* placement
   EXPECT_EQ(warmed.stats().disk_hits, 1);
   EXPECT_EQ(warmed.stats().misses, 0);
   std::filesystem::remove(path);
@@ -203,9 +204,13 @@ TEST(CacheStore, FilesAreByteIdenticalRegardlessOfInsertionOrder) {
   const auto c = HierarchyWithLevels({3, 2});
 
   SynthesisCache forward;
-  for (const auto* sh : {&a, &b, &c}) forward.GetOrSynthesize(*sh, options);
+  for (const auto* sh : {&a, &b, &c}) {
+    LookupOrSynthesize(forward, *sh, options);
+  }
   SynthesisCache backward;
-  for (const auto* sh : {&c, &b, &a}) backward.GetOrSynthesize(*sh, options);
+  for (const auto* sh : {&c, &b, &a}) {
+    LookupOrSynthesize(backward, *sh, options);
+  }
 
   // The snapshot is key-sorted, so the only difference between the two
   // caches — insertion order and measured wall-clock — must not leak into
@@ -240,7 +245,7 @@ TEST(CacheStore, PersistedSecondsSurviveARoundTripForAccounting) {
   const auto sh = HierarchyWithLevels({2, 2, 2});
 
   SynthesisCache cache;
-  const auto result = cache.GetOrSynthesize(sh, options);
+  const auto result = LookupOrSynthesize(cache, sh, options);
   const double original_seconds = result->stats.seconds;
 
   const std::string path = TempPath("seconds");
@@ -251,7 +256,7 @@ TEST(CacheStore, PersistedSecondsSurviveARoundTripForAccounting) {
   SynthesisCache warmed;
   CacheStore reader(path);
   ASSERT_EQ(reader.LoadInto(&warmed), CacheLoadStatus::kOk);
-  warmed.GetOrSynthesize(sh, options);
+  LookupOrSynthesize(warmed, sh, options);
   EXPECT_EQ(warmed.stats().disk_seconds_saved, original_seconds);
   ASSERT_TRUE(reader.Save(warmed));
 

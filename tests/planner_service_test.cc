@@ -135,8 +135,7 @@ TEST(PlannerService, RacingQueriesSynthesizeEachSignatureExactlyOnce) {
 // fault hook stalling every synthesis frontier layer ~1ms — wide in-flight
 // windows, so requests constantly observe each other's open flights and the
 // deferred queue is actually exercised. Every output must stay
-// byte-identical to the serial reference, and on threaded services no pool
-// thread may ever park behind a foreign synthesis (waiter_parks == 0).
+// byte-identical to the serial reference.
 TEST(PlannerService, DeferralSchedulingIsDeterministicUnderStalledOwners) {
   const Engine engine(topology::MakeA100Cluster(2), FastOptions());
   const auto configs = Configs();
@@ -175,27 +174,8 @@ TEST(PlannerService, DeferralSchedulingIsDeterministicUnderStalledOwners) {
             << "config " << order[f] << ", threads=" << threads
             << ", round=" << round;
       }
-      EXPECT_EQ(service.stats().cache.waiter_parks, 0)
-          << "threads=" << threads << ", round=" << round
-          << ": a pool thread parked behind a foreign synthesis";
     }
   }
-
-  // The parked-waiter scheduler must still be selectable and identical —
-  // it is the bench's tail-latency baseline.
-  PlannerServiceOptions parked;
-  parked.threads = 4;
-  parked.defer_inflight = false;
-  PlannerService service(engine, parked);
-  std::vector<PlanHandle> futures;
-  for (const std::size_t index : order) {
-    futures.push_back(service.Submit(RequestFor(configs[index])));
-  }
-  for (std::size_t f = 0; f < futures.size(); ++f) {
-    EXPECT_EQ(CanonicalResultText(futures[f].get()), reference[order[f]])
-        << "parked scheduler, config " << order[f];
-  }
-  EXPECT_EQ(service.stats().cache.deferred_lookups, 0);
 }
 
 // A deterministic deferral window: the first synthesis is held open until
@@ -246,11 +226,161 @@ TEST(PlannerService, DeferredRequestsResolveOnOwnerCompletion) {
   EXPECT_GT(stats.cache.deferred_lookups, 0)
       << "no racer ever deferred behind the held-open flight";
   EXPECT_EQ(stats.cache.continuations_fired, stats.cache.deferred_lookups);
-  EXPECT_EQ(stats.cache.waiter_parks, 0);
   EXPECT_EQ(stats.cache.misses, 2);  // each signature synthesized once
   EXPECT_EQ(stats.latency_count, 4);
   EXPECT_GT(stats.latency_p99_seconds, 0.0);
   EXPECT_GE(stats.latency_p99_seconds, stats.latency_p50_seconds);
+}
+
+// An inline (one-thread) service runs each Submit on its caller's thread, so
+// concurrent callers are concurrent requests — and they defer like requests
+// on a threaded pool: a request whose signature another caller is
+// synthesizing registers a continuation, and its Wait runs the re-enqueued
+// task once the owner settles the flight. Eight callers submit overlapping
+// configs while the first synthesis is held open until someone has deferred.
+// In the first round the owner then completes; in the second it dies (its
+// synthesis throws), so the callers deferred behind it must be woken by the
+// abandonment, claim the signature themselves and still match the serial
+// output — only the owner's own request fails.
+TEST(PlannerService, InlineServiceDefersBehindAStalledOwner) {
+  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
+  const auto configs = Configs();
+  std::vector<std::string> reference;
+  for (const auto& config : configs) {
+    PlannerService service(engine, PlannerServiceOptions{.threads = 1});
+    reference.push_back(CanonicalResultText(service.Plan(RequestFor(config))));
+  }
+
+  for (const bool owner_dies : {false, true}) {
+    PlannerService service(engine, PlannerServiceOptions{.threads = 1});
+    std::atomic<bool> armed{true};
+    std::atomic<bool> release{false};
+    FaultScope gate([&](std::string_view point) {
+      if (point != "synth.layer" || !armed.exchange(false)) return;
+      while (!release.load()) {  // only the first owner stalls
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      if (owner_dies) throw std::runtime_error("owner died");
+    });
+
+    constexpr std::size_t kCallers = 8;  // every config twice
+    std::vector<std::string> texts(kCallers);
+    std::vector<std::string> errors(kCallers);
+    std::vector<std::thread> callers;
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        try {
+          texts[c] = CanonicalResultText(
+              service.Submit(RequestFor(configs[c % configs.size()])).get());
+        } catch (const std::exception& e) {
+          errors[c] = e.what();
+        }
+      });
+    }
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(5);
+    while (service.stats().cache.deferred_lookups == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    release.store(true);
+    for (auto& caller : callers) caller.join();
+
+    std::size_t failed = 0;
+    for (std::size_t c = 0; c < kCallers; ++c) {
+      if (!errors[c].empty()) {
+        ++failed;
+        EXPECT_EQ(errors[c], "owner died") << "caller " << c;
+        continue;
+      }
+      EXPECT_EQ(texts[c], reference[c % configs.size()])
+          << "caller " << c << ", owner_dies=" << owner_dies;
+    }
+    EXPECT_EQ(failed, owner_dies ? 1u : 0u);
+    const auto stats = service.stats();
+    EXPECT_GT(stats.cache.deferred_lookups, 0)
+        << "no caller deferred behind the held-open flight, owner_dies="
+        << owner_dies;
+    EXPECT_EQ(stats.cache.continuations_fired, stats.cache.deferred_lookups);
+    EXPECT_EQ(stats.requests, static_cast<std::int64_t>(kCallers));
+  }
+}
+
+// A request deferred on an inline service whose deadline passes while the
+// owner is still stalled: its sleeping Wait must wake at the deadline, commit
+// the deferred task through the abort kick and resolve PlanDeadlineExceeded —
+// promptly, and without a leaked reservation holding its TaskGroup open
+// until the owner finally publishes.
+TEST(PlannerService, InlineDeferredRequestMeetsItsDeadline) {
+  const Engine engine(topology::MakeA100Cluster(2), FastOptions());
+  PlanRequest request;
+  request.axes = {8, 2, 2};  // 3 placements, 2 unique signatures
+  request.reduction_axes = {0};
+  std::string reference;
+  {
+    PlannerService serial(engine, PlannerServiceOptions{.threads = 1});
+    reference = CanonicalResultText(serial.Plan(request));
+  }
+
+  PlannerService service(engine, PlannerServiceOptions{.threads = 1});
+  std::atomic<bool> armed{true};
+  std::atomic<bool> stalled{false};
+  std::atomic<bool> release{false};
+  FaultScope gate([&](std::string_view point) {
+    if (point != "synth.layer" || !armed.exchange(false)) return;
+    stalled.store(true);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::string owner_text;
+  std::thread owner([&] {
+    owner_text = CanonicalResultText(service.Submit(request).get());
+  });
+  const auto bound = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!stalled.load() && std::chrono::steady_clock::now() < bound) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(stalled.load()) << "the owner never reached its synthesis";
+
+  // The late request defers on the stalled signature (and synthesizes the
+  // other one itself), then sleeps in Wait until its deadline.
+  std::atomic<bool> late_done{false};
+  bool late_deadline_exceeded = false;
+  bool late_resolved_while_owner_held = false;
+  std::chrono::steady_clock::duration late_latency{};
+  std::thread late([&] {
+    PlanRequest late_request = request;
+    late_request.deadline = std::chrono::milliseconds(100);
+    const auto submitted = std::chrono::steady_clock::now();
+    try {
+      service.Submit(std::move(late_request)).get();
+    } catch (const PlanDeadlineExceeded&) {
+      late_deadline_exceeded = true;
+    }
+    late_latency = std::chrono::steady_clock::now() - submitted;
+    late_resolved_while_owner_held = !release.load();
+    late_done.store(true);
+  });
+  const auto late_bound =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!late_done.load() && std::chrono::steady_clock::now() < late_bound) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  release.store(true);  // unsticks a hung late request too, so both join
+  late.join();
+  owner.join();
+
+  EXPECT_TRUE(late_deadline_exceeded);
+  EXPECT_TRUE(late_resolved_while_owner_held)
+      << "the deferred request waited for the owner instead of its deadline";
+  EXPECT_LT(late_latency, std::chrono::seconds(2));
+  EXPECT_EQ(owner_text, reference);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.cache.deferred_lookups, 1);
+  EXPECT_EQ(stats.deadline_exceeded, 1);
+  // The service keeps serving after the aborted deferral.
+  EXPECT_EQ(CanonicalResultText(service.Plan(request)), reference);
 }
 
 TEST(PlannerService, SubmitIsAsynchronousAndFuturesCarryResults) {

@@ -179,6 +179,14 @@ TEST(WireFrame, CorruptionsMapToTheirStatuses) {
   EXPECT_EQ(DecodeFrame(bad_version, &out, &consumed),
             FrameDecodeStatus::kBadVersion);
 
+  // A version-2 peer (whose PlanResponse stats still carried the in-flight
+  // wait counter) fails fast rather than misparsing the shorter payload.
+  EXPECT_EQ(kWireVersion, 3u);
+  std::string older_peer = good;
+  older_peer[4] = 2;
+  EXPECT_EQ(DecodeFrame(older_peer, &out, &consumed),
+            FrameDecodeStatus::kBadVersion);
+
   std::string bad_type = good;
   bad_type[8] = 0;  // type u8 at offset 8; 0 is not a FrameType
   EXPECT_EQ(DecodeFrame(bad_type, &out, &consumed),

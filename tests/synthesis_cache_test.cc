@@ -9,14 +9,15 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <stdexcept>
 #include <string_view>
 #include <thread>
 #include <vector>
 
-#include "common/cancel.h"
+#include "cache_lookup.h"
 #include "common/fault_injection.h"
 #include "core/synthesis_hierarchy.h"
+#include "engine/service.h"
+#include "topology/presets.h"
 
 namespace p2::engine {
 namespace {
@@ -80,8 +81,8 @@ TEST(Signature, CoversLevelsAndGoal) {
 TEST(SynthesisCache, HitsOnEqualSignaturesAndReturnsIdenticalPrograms) {
   SynthesisCache cache;
   const core::SynthesisOptions options;
-  const auto first = cache.GetOrSynthesize(IsomorphicA(), options);
-  const auto second = cache.GetOrSynthesize(IsomorphicB(), options);
+  const auto first = LookupOrSynthesize(cache, IsomorphicA(), options);
+  const auto second = LookupOrSynthesize(cache, IsomorphicB(), options);
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.size(), 1u);
@@ -99,8 +100,8 @@ TEST(SynthesisCache, HitsOnEqualSignaturesAndReturnsIdenticalPrograms) {
 TEST(SynthesisCache, MissesOnDifferentSignatures) {
   SynthesisCache cache;
   const core::SynthesisOptions options;
-  cache.GetOrSynthesize(IsomorphicA(), options);
-  cache.GetOrSynthesize(Different(), options);
+  LookupOrSynthesize(cache, IsomorphicA(), options);
+  LookupOrSynthesize(cache, Different(), options);
   EXPECT_EQ(cache.stats().misses, 2);
   EXPECT_EQ(cache.stats().hits, 0);
   EXPECT_EQ(cache.size(), 2u);
@@ -112,8 +113,8 @@ TEST(SynthesisCache, KeyIncludesSynthesisOptions) {
   small.max_program_size = 2;
   core::SynthesisOptions large;
   large.max_program_size = 4;
-  const auto a = cache.GetOrSynthesize(IsomorphicA(), small);
-  const auto b = cache.GetOrSynthesize(IsomorphicA(), large);
+  const auto a = LookupOrSynthesize(cache, IsomorphicA(), small);
+  const auto b = LookupOrSynthesize(cache, IsomorphicA(), large);
   EXPECT_EQ(cache.stats().misses, 2);  // different options never alias
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_NE(a.get(), b.get());
@@ -127,13 +128,14 @@ TEST(SynthesisCache, LargerCapEntriesServeSmallerCapQueries) {
   // (the synthesizer keeps the smallest programs, a size-ordered prefix).
   SynthesisCache cache;
   core::SynthesisOptions unbounded;  // default cap 2^20: effectively complete
-  const auto full = cache.GetOrSynthesize(IsomorphicA(), unbounded);
+  const auto full = LookupOrSynthesize(cache, IsomorphicA(), unbounded);
   ASSERT_GT(full->programs.size(), 2u);
 
   core::SynthesisOptions capped = unbounded;
   capped.max_programs = 2;
   CacheLookupOutcome outcome;
-  const auto served = cache.GetOrSynthesize(IsomorphicA(), capped, &outcome);
+  const auto served =
+      LookupOrSynthesize(cache, IsomorphicA(), capped, &outcome);
   EXPECT_TRUE(outcome.hit);
   EXPECT_TRUE(outcome.subsumed);
   EXPECT_EQ(cache.stats().misses, 1);
@@ -154,14 +156,15 @@ TEST(SynthesisCache, CompleteEntriesServeAnyCap) {
   SynthesisCache cache;
   core::SynthesisOptions small_cap;
   small_cap.max_programs = 1 << 10;  // far above the real program count
-  const auto first = cache.GetOrSynthesize(IsomorphicA(), small_cap);
+  const auto first = LookupOrSynthesize(cache, IsomorphicA(), small_cap);
   ASSERT_LT(static_cast<std::int64_t>(first->programs.size()),
             small_cap.max_programs);
 
   core::SynthesisOptions big_cap = small_cap;
   big_cap.max_programs = 1 << 20;
   CacheLookupOutcome outcome;
-  const auto served = cache.GetOrSynthesize(IsomorphicA(), big_cap, &outcome);
+  const auto served =
+      LookupOrSynthesize(cache, IsomorphicA(), big_cap, &outcome);
   EXPECT_TRUE(outcome.hit);
   EXPECT_FALSE(outcome.subsumed);  // nothing was truncated
   EXPECT_EQ(cache.stats().misses, 1);
@@ -172,7 +175,7 @@ TEST(SynthesisCache, TruncatedEntriesAreUpgradedByLargerCapQueries) {
   SynthesisCache cache;
   core::SynthesisOptions tiny;
   tiny.max_programs = 1;  // truncated: programs.size() == cap
-  const auto truncated = cache.GetOrSynthesize(IsomorphicA(), tiny);
+  const auto truncated = LookupOrSynthesize(cache, IsomorphicA(), tiny);
   ASSERT_EQ(truncated->programs.size(), 1u);
 
   // A larger cap cannot be served by a truncated entry: it re-synthesizes
@@ -180,14 +183,14 @@ TEST(SynthesisCache, TruncatedEntriesAreUpgradedByLargerCapQueries) {
   core::SynthesisOptions bigger = tiny;
   bigger.max_programs = 1 << 20;
   CacheLookupOutcome outcome;
-  const auto full = cache.GetOrSynthesize(IsomorphicA(), bigger, &outcome);
+  const auto full = LookupOrSynthesize(cache, IsomorphicA(), bigger, &outcome);
   EXPECT_FALSE(outcome.hit);
   EXPECT_EQ(cache.stats().misses, 2);
   EXPECT_GT(full->programs.size(), 1u);
   EXPECT_EQ(cache.size(), 1u);
 
   // ...after which the original tiny cap is served by subsumption.
-  const auto again = cache.GetOrSynthesize(IsomorphicA(), tiny, &outcome);
+  const auto again = LookupOrSynthesize(cache, IsomorphicA(), tiny, &outcome);
   EXPECT_TRUE(outcome.hit);
   EXPECT_TRUE(outcome.subsumed);
   EXPECT_EQ(again->programs.size(), 1u);
@@ -200,14 +203,15 @@ TEST(SynthesisCache, SubsumptionWorksAcrossSnapshotPreloadRoundTrips) {
   // hits.
   SynthesisCache cache;
   const core::SynthesisOptions unbounded;
-  cache.GetOrSynthesize(IsomorphicA(), unbounded);
+  LookupOrSynthesize(cache, IsomorphicA(), unbounded);
 
   SynthesisCache warmed;
   EXPECT_EQ(warmed.Preload(cache.Snapshot()), 1);
   core::SynthesisOptions capped = unbounded;
   capped.max_programs = 2;
   CacheLookupOutcome outcome;
-  const auto served = warmed.GetOrSynthesize(IsomorphicA(), capped, &outcome);
+  const auto served =
+      LookupOrSynthesize(warmed, IsomorphicA(), capped, &outcome);
   EXPECT_TRUE(outcome.hit);
   EXPECT_TRUE(outcome.from_disk);
   EXPECT_TRUE(outcome.subsumed);
@@ -222,12 +226,13 @@ TEST(SynthesisCache, NonPositiveCapsAreServedAsEmptyPrefixes) {
   // negative iterator offset.
   SynthesisCache cache;
   const core::SynthesisOptions unbounded;
-  cache.GetOrSynthesize(IsomorphicA(), unbounded);
+  LookupOrSynthesize(cache, IsomorphicA(), unbounded);
   for (const std::int64_t cap : {std::int64_t{0}, std::int64_t{-1}}) {
     core::SynthesisOptions capped = unbounded;
     capped.max_programs = cap;
     CacheLookupOutcome outcome;
-    const auto served = cache.GetOrSynthesize(IsomorphicA(), capped, &outcome);
+    const auto served =
+        LookupOrSynthesize(cache, IsomorphicA(), capped, &outcome);
     EXPECT_TRUE(outcome.hit) << cap;
     EXPECT_TRUE(served->programs.empty()) << cap;
     const auto fresh = core::SynthesizePrograms(IsomorphicA(), capped);
@@ -243,7 +248,7 @@ TEST(SynthesisCache, PreloadWithoutACapMarkerIsConservative) {
   // completeness it cannot prove.
   SynthesisCache donor;
   const core::SynthesisOptions options;
-  donor.GetOrSynthesize(IsomorphicA(), options);
+  LookupOrSynthesize(donor, IsomorphicA(), options);
   auto snapshot = donor.Snapshot();
   ASSERT_EQ(snapshot.size(), 1u);
   const std::size_t num_programs = snapshot[0].second.programs.size();
@@ -258,7 +263,7 @@ TEST(SynthesisCache, PreloadWithoutACapMarkerIsConservative) {
   beyond.max_programs =
       static_cast<std::int64_t>(num_programs) + 1;  // beyond what it holds
   CacheLookupOutcome outcome;
-  warmed.GetOrSynthesize(IsomorphicA(), beyond, &outcome);
+  LookupOrSynthesize(warmed, IsomorphicA(), beyond, &outcome);
   EXPECT_FALSE(outcome.hit);  // conservatively re-synthesized
   EXPECT_EQ(warmed.stats().misses, 1);
 }
@@ -266,18 +271,19 @@ TEST(SynthesisCache, PreloadWithoutACapMarkerIsConservative) {
 TEST(SynthesisCache, LruCapEvictsLeastRecentlyUsed) {
   SynthesisCache cache(/*max_entries=*/1);
   const core::SynthesisOptions options;
-  cache.GetOrSynthesize(IsomorphicA(), options);
+  LookupOrSynthesize(cache, IsomorphicA(), options);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().evictions, 0);
 
   // A second signature overflows the cap: the first entry is evicted...
-  cache.GetOrSynthesize(Different(), options);
+  LookupOrSynthesize(cache, Different(), options);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().evictions, 1);
 
   // ...so revisiting it is a miss (re-synthesis), never a wrong result.
   CacheLookupOutcome outcome;
-  const auto again = cache.GetOrSynthesize(IsomorphicA(), options, &outcome);
+  const auto again =
+      LookupOrSynthesize(cache, IsomorphicA(), options, &outcome);
   EXPECT_FALSE(outcome.hit);
   EXPECT_EQ(cache.stats().misses, 3);
   EXPECT_EQ(cache.stats().evictions, 2);
@@ -288,28 +294,28 @@ TEST(SynthesisCache, LruCapEvictsLeastRecentlyUsed) {
 TEST(SynthesisCache, LruTouchOnHitProtectsHotEntries) {
   SynthesisCache cache(/*max_entries=*/2);
   const core::SynthesisOptions options;
-  cache.GetOrSynthesize(IsomorphicA(), options);  // A is LRU after B lands
-  cache.GetOrSynthesize(Different(), options);
+  LookupOrSynthesize(cache, IsomorphicA(), options);  // A is LRU after B lands
+  LookupOrSynthesize(cache, Different(), options);
   // Touch A: B becomes the least recently used...
-  cache.GetOrSynthesize(IsomorphicB(), options);  // same signature as A
+  LookupOrSynthesize(cache, IsomorphicB(), options);  // same signature as A
   EXPECT_EQ(cache.stats().hits, 1);
 
   // ...so a third signature evicts B, not A.
   core::SynthesisOptions other = options;
   other.max_program_size = options.max_program_size + 1;
-  cache.GetOrSynthesize(IsomorphicA(), other);  // distinct base key
+  LookupOrSynthesize(cache, IsomorphicA(), other);  // distinct base key
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1);
   CacheLookupOutcome outcome;
-  cache.GetOrSynthesize(IsomorphicA(), options, &outcome);
+  LookupOrSynthesize(cache, IsomorphicA(), options, &outcome);
   EXPECT_TRUE(outcome.hit) << "the hot entry must have survived";
 }
 
 TEST(SynthesisCache, UnboundedByDefault) {
   SynthesisCache cache;
   const core::SynthesisOptions options;
-  cache.GetOrSynthesize(IsomorphicA(), options);
-  cache.GetOrSynthesize(Different(), options);
+  LookupOrSynthesize(cache, IsomorphicA(), options);
+  LookupOrSynthesize(cache, Different(), options);
   EXPECT_EQ(cache.max_entries(), 0);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 0);
@@ -318,8 +324,8 @@ TEST(SynthesisCache, UnboundedByDefault) {
 TEST(SynthesisCache, PreloadRespectsTheLruCap) {
   SynthesisCache donor;
   const core::SynthesisOptions options;
-  donor.GetOrSynthesize(IsomorphicA(), options);
-  donor.GetOrSynthesize(Different(), options);
+  LookupOrSynthesize(donor, IsomorphicA(), options);
+  LookupOrSynthesize(donor, Different(), options);
 
   SynthesisCache capped(/*max_entries=*/1);
   EXPECT_EQ(capped.Preload(donor.Snapshot()), 2);  // both inserted...
@@ -348,12 +354,12 @@ TEST(SynthesisCache, TenantsWithACommonSubHierarchyShareOneEntry) {
   SynthesisCache cache;
   const core::SynthesisOptions options;
   CacheLookupOutcome outcome;
-  cache.GetOrSynthesize(sh_a100, options, &outcome, /*tenant=*/0);
+  LookupOrSynthesize(cache, sh_a100, options, &outcome, /*tenant=*/0);
   EXPECT_FALSE(outcome.hit);
   EXPECT_FALSE(outcome.cross_tenant);
 
   const auto served =
-      cache.GetOrSynthesize(sh_v100, options, &outcome, /*tenant=*/1);
+      LookupOrSynthesize(cache, sh_v100, options, &outcome, /*tenant=*/1);
   EXPECT_TRUE(outcome.hit);
   EXPECT_TRUE(outcome.cross_tenant);
   EXPECT_EQ(cache.size(), 1u);
@@ -367,11 +373,11 @@ TEST(SynthesisCache, TenantsWithACommonSubHierarchyShareOneEntry) {
   }
 
   // Same tenant re-reading its own entry is NOT cross-tenant...
-  cache.GetOrSynthesize(sh_a100, options, &outcome, /*tenant=*/0);
+  LookupOrSynthesize(cache, sh_a100, options, &outcome, /*tenant=*/0);
   EXPECT_TRUE(outcome.hit);
   EXPECT_FALSE(outcome.cross_tenant);
   // ...and untagged lookups never are.
-  cache.GetOrSynthesize(sh_a100, options, &outcome);
+  LookupOrSynthesize(cache, sh_a100, options, &outcome);
   EXPECT_TRUE(outcome.hit);
   EXPECT_FALSE(outcome.cross_tenant);
   EXPECT_EQ(cache.stats().cross_tenant_hits, 1);
@@ -380,12 +386,12 @@ TEST(SynthesisCache, TenantsWithACommonSubHierarchyShareOneEntry) {
 TEST(SynthesisCache, DiskPreloadedEntriesAreNeverCrossTenant) {
   SynthesisCache donor;
   const core::SynthesisOptions options;
-  donor.GetOrSynthesize(IsomorphicA(), options, nullptr, /*tenant=*/7);
+  LookupOrSynthesize(donor, IsomorphicA(), options, nullptr, /*tenant=*/7);
 
   SynthesisCache warmed;
   warmed.Preload(donor.Snapshot());
   CacheLookupOutcome outcome;
-  warmed.GetOrSynthesize(IsomorphicA(), options, &outcome, /*tenant=*/3);
+  LookupOrSynthesize(warmed, IsomorphicA(), options, &outcome, /*tenant=*/3);
   EXPECT_TRUE(outcome.hit);
   EXPECT_TRUE(outcome.from_disk);
   // Disk entries belong to no tenant: the cross-run reuse is the disk_hits
@@ -393,160 +399,66 @@ TEST(SynthesisCache, DiskPreloadedEntriesAreNeverCrossTenant) {
   EXPECT_FALSE(outcome.cross_tenant);
 }
 
-// ISSUE 7 regression: the in-flight dedup must never park waiters behind a
-// synthesis that died. The owner withdraws its announcement before waking
-// them, so each waiter re-checks the table, finds neither entry nor flight,
-// and synthesizes for itself — a dead owner costs a retry, never a hang.
-TEST(SynthesisCache, DeadOwnerNeverParksItsWaitersForever) {
-  SynthesisCache cache;
-  const core::SynthesisOptions options;
-  std::atomic<bool> owner_inside{false};
-  std::atomic<bool> waiter_launched{false};
-  std::atomic<int> synth_calls{0};
-  FaultScope scope([&](std::string_view point) {
-    if (point != "synth.layer") return;
-    if (synth_calls.fetch_add(1) != 0) return;  // only the owner dies
-    owner_inside.store(true);
-    // Hold the flight open until the waiter is parked behind it, then die.
-    for (int i = 0; i < 500 && !waiter_launched.load(); ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    throw std::runtime_error("injected owner death");
-  });
-
-  std::thread owner([&] {
-    EXPECT_THROW(cache.GetOrSynthesize(IsomorphicA(), options),
-                 std::runtime_error);
-  });
-  while (!owner_inside.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Same signature: the waiter parks behind the owner's in-flight record.
-  std::shared_ptr<const core::SynthesisResult> served;
-  std::thread waiter(
-      [&] { served = cache.GetOrSynthesize(IsomorphicB(), options); });
-  waiter_launched.store(true);
-  owner.join();
-  waiter.join();
-
-  // The waiter re-dispatched: its own (second) synthesis succeeded and
-  // published; the owner's death left no entry and no miss behind.
-  ASSERT_NE(served, nullptr);
-  EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.size(), 1u);
-  const auto fresh = core::SynthesizePrograms(IsomorphicB(), options);
-  ASSERT_EQ(served->programs.size(), fresh.programs.size());
-  for (std::size_t i = 0; i < fresh.programs.size(); ++i) {
-    EXPECT_EQ(served->programs[i], fresh.programs[i]);
-  }
-}
-
-// ISSUE 7: a *cancelled* waiter interrupts its wait instead of sitting out
-// the owner's synthesis — and its departure (releasing the eviction
-// reservation it held) leaves the flight fully intact for everyone else.
-TEST(SynthesisCache, CancelledWaiterUnwindsWithoutDisturbingTheFlight) {
-  SynthesisCache cache;
-  const core::SynthesisOptions plain;
+// A request deferred behind a stalled owner must unwind as soon as it is
+// cancelled: the cancel wakes its group's Wait (a condition variable the
+// CancelToken notifies), whose abort hook re-enqueues the deferred task so
+// it observes the cancellation — no poll interval, and no ride-out of the
+// foreign owner's synthesis. One trial measures Cancel()-to-PlanCancelled;
+// the *median* of five trials must come in well under a 5 ms poll period
+// (a reintroduced poll wakes uniformly within (0, 5] ms, median ~2.5 ms),
+// while staying robust against a couple of scheduler hiccups.
+double DeferredCancelLatencyMsOnce() {
+  EngineOptions engine_options;
+  engine_options.payload_bytes = 1e8;
+  const Engine engine(topology::MakeA100Cluster(2), engine_options);
+  PlannerService service(engine, PlannerServiceOptions{.threads = 2});
+  std::atomic<bool> armed{true};
   std::atomic<bool> owner_inside{false};
   std::atomic<bool> release_owner{false};
-  std::atomic<int> synth_calls{0};
   FaultScope scope([&](std::string_view point) {
-    if (point != "synth.layer") return;
-    if (synth_calls.fetch_add(1) != 0) return;  // only the owner stalls
-    owner_inside.store(true);
+    if (point != "synth.layer" || !armed.exchange(false)) return;
+    owner_inside.store(true);  // only the first synthesis stalls
     while (!release_owner.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
-
-  std::thread owner([&] { cache.GetOrSynthesize(IsomorphicA(), plain); });
+  // One placement, hence one signature: the second request has nothing to
+  // do but defer behind the first one's stalled synthesis.
+  PlanRequest request;
+  request.axes = {32};
+  request.reduction_axes = {0};
+  PlanHandle owner = service.Submit(request);
   while (!owner_inside.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  CancelSource source;
-  core::SynthesisOptions cancellable = plain;
-  cancellable.cancel = source.token();
-  std::thread waiter([&] {
-    EXPECT_THROW(cache.GetOrSynthesize(IsomorphicB(), cancellable),
-                 CancelledError);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));  // let it park
-  source.Cancel();
-  waiter.join();  // returns promptly: the polling wait observed the cancel
-  release_owner.store(true);
-  owner.join();
-
-  // The owner finished normally and its entry serves later queries.
-  EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.size(), 1u);
-  CacheLookupOutcome outcome;
-  cache.GetOrSynthesize(IsomorphicB(), plain, &outcome);
-  EXPECT_TRUE(outcome.hit);
-}
-
-// ISSUE 8 regression: the cancellable wait used to be a 5 ms poll loop, so
-// a cancelled waiter sat out up to a full poll period (and the server's
-// drain paid it per waiter). The wait is now a condition variable woken by
-// the owner's completion and by the waiter's own CancelToken, so the
-// cancel-to-wake latency is scheduler-bound — microseconds, not
-// milliseconds. One trial measures that latency; the *median* of five
-// trials must come in well under the old poll period. (The median is the
-// discriminator: a reintroduced 5 ms poll wakes uniformly within (0, 5] ms,
-// whose median is ~2.5 ms, while staying robust against a couple of
-// scheduler hiccups inflating individual trials.)
-double CancelWakeLatencyMsOnce() {
-  SynthesisCache cache;
-  const core::SynthesisOptions plain;
-  std::atomic<bool> owner_inside{false};
-  std::atomic<bool> release_owner{false};
-  std::atomic<int> synth_calls{0};
-  FaultScope scope([&](std::string_view point) {
-    if (point != "synth.layer") return;
-    if (synth_calls.fetch_add(1) != 0) return;  // only the owner stalls
-    owner_inside.store(true);
-    while (!release_owner.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-
-  std::thread owner([&] { cache.GetOrSynthesize(IsomorphicA(), plain); });
-  while (!owner_inside.load()) {
+  PlanHandle waiter = service.Submit(request);
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (service.stats().cache.deferred_lookups == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  CancelSource source;
-  core::SynthesisOptions cancellable = plain;
-  cancellable.cancel = source.token();
-  std::chrono::steady_clock::time_point woke_at;
-  std::thread waiter([&] {
-    try {
-      cache.GetOrSynthesize(IsomorphicB(), cancellable);
-      ADD_FAILURE() << "waiter completed despite the cancel";
-    } catch (const CancelledError&) {
-    }
-    woke_at = std::chrono::steady_clock::now();
-  });
-  // Let the waiter park behind the owner's flight before cancelling.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(service.stats().cache.deferred_lookups, 1);
   const auto cancelled_at = std::chrono::steady_clock::now();
-  source.Cancel();
-  waiter.join();
+  waiter.Cancel();
+  EXPECT_THROW(waiter.get(), PlanCancelled);
+  const auto resolved_at = std::chrono::steady_clock::now();
   release_owner.store(true);
-  owner.join();
-  return std::chrono::duration<double, std::milli>(woke_at - cancelled_at)
+  owner.get();
+  return std::chrono::duration<double, std::milli>(resolved_at - cancelled_at)
       .count();
 }
 
 TEST(SynthesisCache, CancelledWaiterWakesWellUnderTheOldPollPeriod) {
   std::vector<double> latencies_ms;
   for (int trial = 0; trial < 5; ++trial) {
-    latencies_ms.push_back(CancelWakeLatencyMsOnce());
+    latencies_ms.push_back(DeferredCancelLatencyMsOnce());
   }
   std::sort(latencies_ms.begin(), latencies_ms.end());
   const double median_ms = latencies_ms[latencies_ms.size() / 2];
-  EXPECT_LT(median_ms, 2.0) << "cancel-to-wake median " << median_ms
-                            << " ms — the cv wake-up has regressed toward "
-                               "the old 5 ms poll";
+  EXPECT_LT(median_ms, 2.0) << "cancel-to-PlanCancelled median " << median_ms
+                            << " ms — the deferred request's wake-up has "
+                               "regressed toward a 5 ms poll";
 }
 
 // ISSUE 9: the non-blocking lookup surface. TryLookup never parks — it
@@ -592,9 +504,6 @@ TEST(SynthesisCache, TryLookupServesClaimsAndDefers) {
   EXPECT_TRUE(outcome.hit);
   EXPECT_EQ(retried.result.get(), result.get());
   EXPECT_EQ(cache.stats().hits, 1);
-  // Nothing in the non-blocking protocol ever parked.
-  EXPECT_EQ(cache.stats().waiter_parks, 0);
-  EXPECT_EQ(cache.stats().dedup_waits, 0);
 }
 
 TEST(SynthesisCache, OwnerDeathFiresContinuationsAndHandsOffOwnership) {
@@ -628,14 +537,13 @@ TEST(SynthesisCache, OwnerDeathFiresContinuationsAndHandsOffOwnership) {
   EXPECT_EQ(cache.size(), 1u);
 
   CacheLookupOutcome outcome;
-  cache.GetOrSynthesize(IsomorphicA(), options, &outcome);
+  LookupOrSynthesize(cache, IsomorphicA(), options, &outcome);
   EXPECT_TRUE(outcome.hit);
 }
 
-// ISSUE 9 satellite: a deferred waiter holds the same eviction reservation a
-// parked waiter would, and CancelDeferred must release it exactly like the
-// cancelled-parked-waiter path above — no leaked reservation pinning the
-// base in a capped cache forever.
+// A deferred lookup holds an eviction reservation on its
+// base, and CancelDeferred must release it — no leaked reservation pinning
+// the base in a capped cache forever.
 TEST(SynthesisCache, CancelDeferredReleasesTheEvictionReservation) {
   SynthesisCache cache(/*max_entries=*/1);
   const core::SynthesisOptions plain;
@@ -651,7 +559,7 @@ TEST(SynthesisCache, CancelDeferredReleasesTheEvictionReservation) {
     }
   });
 
-  std::thread owner([&] { cache.GetOrSynthesize(IsomorphicA(), plain); });
+  std::thread owner([&] { LookupOrSynthesize(cache, IsomorphicA(), plain); });
   while (!owner_inside.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -673,54 +581,19 @@ TEST(SynthesisCache, CancelDeferredReleasesTheEvictionReservation) {
 
   // With the reservation gone, the published entry is evictable again: a
   // second signature displaces it instead of overflowing the cap.
-  cache.GetOrSynthesize(Different(), plain);
+  LookupOrSynthesize(cache, Different(), plain);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().evictions, 1);
-}
-
-// The blocking path still accounts its parks — the counter the deferral
-// scheduler's tests pin to zero has to be live on the legacy path.
-TEST(SynthesisCache, ParkedWaiterCountsWaiterParks) {
-  SynthesisCache cache;
-  const core::SynthesisOptions plain;
-  std::atomic<bool> owner_inside{false};
-  std::atomic<bool> release_owner{false};
-  std::atomic<bool> waiter_parked{false};
-  std::atomic<int> synth_calls{0};
-  FaultScope scope([&](std::string_view point) {
-    if (point != "synth.layer") return;
-    if (synth_calls.fetch_add(1) != 0) return;  // only the owner stalls
-    owner_inside.store(true);
-    while (!release_owner.load()) {
-      if (waiter_parked.load() && cache.stats().waiter_parks > 0) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-
-  std::thread owner([&] { cache.GetOrSynthesize(IsomorphicA(), plain); });
-  while (!owner_inside.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::thread waiter([&] {
-    waiter_parked.store(true);
-    cache.GetOrSynthesize(IsomorphicB(), plain);
-  });
-  waiter.join();
-  release_owner.store(true);
-  owner.join();
-  EXPECT_EQ(cache.stats().waiter_parks, 1);
-  EXPECT_EQ(cache.stats().dedup_waits, 1);
-  EXPECT_EQ(cache.stats().deferred_lookups, 0);
 }
 
 TEST(SynthesisCache, ClearResetsEverything) {
   SynthesisCache cache;
   const core::SynthesisOptions options;
-  cache.GetOrSynthesize(IsomorphicA(), options);
+  LookupOrSynthesize(cache, IsomorphicA(), options);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().misses, 0);
-  cache.GetOrSynthesize(IsomorphicA(), options);
+  LookupOrSynthesize(cache, IsomorphicA(), options);
   EXPECT_EQ(cache.stats().misses, 1);
 }
 

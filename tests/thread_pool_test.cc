@@ -186,41 +186,39 @@ TEST(TaskGroup, InlineModeRunsTasksImmediately) {
 
 // ---- deferred tasks (ISSUE 9) ---------------------------------------------
 
+// Inline (one-thread) pools defer like threaded ones: Wait sleeps on the
+// reservation, then runs the committed task itself.
 TEST(TaskGroup, DeferredReservationHoldsWaitUntilCommitted) {
-  ThreadPool pool(2);
-  ThreadPool::TaskGroup group(pool);
-  std::atomic<bool> ran{false};
-  group.ReserveDeferred();  // Wait must not return while this is pending
-  std::thread committer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    group.CommitDeferred([&ran] { ran.store(true); });
-  });
-  group.Wait();  // returns only after the committed task actually ran
-  EXPECT_TRUE(ran.load());
-  committer.join();
+  for (const int threads : {1, 2}) {
+    ThreadPool pool(threads);
+    ThreadPool::TaskGroup group(pool);
+    std::atomic<bool> ran{false};
+    group.ReserveDeferred();  // Wait must not return while this is pending
+    std::thread committer([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      group.CommitDeferred([&ran] { ran.store(true); });
+    });
+    group.Wait();  // returns only after the committed task actually ran
+    EXPECT_TRUE(ran.load()) << "threads=" << threads;
+    committer.join();
+  }
 }
 
 TEST(TaskGroup, AbandonDeferredReleasesTheReservation) {
-  ThreadPool pool(2);
-  ThreadPool::TaskGroup group(pool);
-  group.ReserveDeferred();
-  std::thread abandoner([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    group.AbandonDeferred();
-  });
-  group.Wait();  // unblocked by the abandonment, with nothing to run
-  abandoner.join();
-}
-
-TEST(TaskGroup, InlineModeCommitsDeferredTasksImmediately) {
-  ThreadPool pool(1);
-  ThreadPool::TaskGroup group(pool);
-  group.ReserveDeferred();  // no-op without workers
-  int count = 0;
-  group.CommitDeferred([&count] { ++count; });
-  EXPECT_EQ(count, 1);  // ran inline, like Submit
-  group.AbandonDeferred();  // no-op
-  group.Wait();
+  for (const int threads : {1, 2}) {
+    ThreadPool pool(threads);
+    ThreadPool::TaskGroup group(pool);
+    std::atomic<bool> abandoned{false};
+    group.ReserveDeferred();
+    std::thread abandoner([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      abandoned.store(true);
+      group.AbandonDeferred();
+    });
+    group.Wait();  // unblocked by the abandonment, with nothing to run
+    EXPECT_TRUE(abandoned.load()) << "threads=" << threads;
+    abandoner.join();
+  }
 }
 
 TEST(TaskGroup, CancellableWaitInvokesAbortHookOnceAndDrains) {
